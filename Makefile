@@ -21,7 +21,7 @@ BENCH_PROFILES ?=
 COVER_OUT ?= cover.out
 COVER_FLOOR ?= 75.0
 
-# Fuzz-smoke budget for the internal/sim engine harness.
+# Fuzz-smoke budget per harness (internal/sim engine, internal/spec parser).
 FUZZTIME ?= 30s
 
 .PHONY: all build test bench bench-capture bench-check vet fmt fmt-check smoke catad-smoke policies-smoke opensys-smoke fuzz-smoke cover cover-check lint docs-check ci
@@ -95,10 +95,13 @@ opensys-smoke:
 		-policy CATA -fast 8 -cores 8 \
 		-arrivals 'poisson:lambda=2000,jobs=20,deadline=5ms,cap=4,window=10ms'
 
-# Runs the internal/sim engine fuzz harness (arena/heap invariants vs a
-# reference engine) for a bounded budget.
+# Runs each fuzz harness for a bounded budget: the internal/sim engine
+# (arena/heap invariants vs a reference engine) and the internal/spec
+# parser behind every workload, policy and arrivals spec. `go test
+# -fuzz` takes one package at a time, hence one line each.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/spec
 
 # Captures a statement-coverage profile across every package.
 cover:

@@ -1,10 +1,9 @@
 package cata_test
 
-// One benchmark per table and figure of the paper's evaluation section
-// (DESIGN.md §5 maps each to its experiment ID). Figure benches run the
-// same harness cmd/catafig uses, at a reduced scale and single seed so a
-// bench iteration stays around a second; run cmd/catafig for the
-// full-scale numbers recorded in EXPERIMENTS.md.
+// One benchmark per table and figure of the paper's evaluation section.
+// Figure benches run the same harness cmd/catafig uses, at a reduced
+// scale and single seed so a bench iteration stays around a second; run
+// cmd/catafig for the full-scale numbers.
 
 import (
 	"testing"

@@ -7,6 +7,7 @@ import (
 	"cata/internal/exp"
 	"cata/internal/opensys"
 	"cata/internal/sim"
+	"cata/internal/spec"
 	"cata/internal/workloads"
 )
 
@@ -69,13 +70,14 @@ func fromInternalAll(ips []exp.Policy) []Policy {
 	return ps
 }
 
-// PolicyParam documents one typed policy parameter, as accepted in a
-// policy spec's `key=val` list and validated before a run is admitted.
-type PolicyParam struct {
+// Param documents one typed spec parameter of a registered policy or
+// workload, as accepted in a spec's `key=val` list and validated before
+// a run is admitted.
+type Param struct {
 	// Key is the parameter name as written in a spec.
 	Key string `json:"key"`
-	// Kind is the declared value type: "string", "int", "float" or
-	// "enum".
+	// Kind is the declared value type: "string", "int", "uint",
+	// "float", "enum" or "duration".
 	Kind string `json:"kind"`
 	// Default describes the value used when the key is absent.
 	Default string `json:"default"`
@@ -83,6 +85,24 @@ type PolicyParam struct {
 	Help string `json:"help"`
 	// Choices lists the accepted values of an enum parameter.
 	Choices []string `json:"choices,omitempty"`
+}
+
+// toParams converts registry parameter docs to the public form.
+func toParams(docs []spec.ParamDoc) []Param {
+	if len(docs) == 0 {
+		return nil
+	}
+	ps := make([]Param, len(docs))
+	for i, d := range docs {
+		ps[i] = Param{
+			Key:     d.Key,
+			Kind:    d.Kind.String(),
+			Default: d.Default,
+			Help:    d.Help,
+			Choices: append([]string(nil), d.Choices...),
+		}
+	}
+	return ps
 }
 
 // PolicyInfo documents one registered policy: its label, a one-line
@@ -100,7 +120,7 @@ type PolicyInfo struct {
 	// Summary is a one-line description.
 	Summary string `json:"summary"`
 	// Params documents the spec parameters the policy accepts.
-	Params []PolicyParam `json:"params,omitempty"`
+	Params []Param `json:"params,omitempty"`
 }
 
 // PolicyDocs returns documentation for every registered policy: the
@@ -110,22 +130,12 @@ func PolicyDocs() []PolicyInfo {
 	ds := exp.PolicyDocs()
 	infos := make([]PolicyInfo, len(ds))
 	for i, d := range ds {
-		params := make([]PolicyParam, len(d.Params))
-		for j, pd := range d.Params {
-			params[j] = PolicyParam{
-				Key:     pd.Key,
-				Kind:    pd.Kind.String(),
-				Default: pd.Default,
-				Help:    pd.Help,
-				Choices: append([]string(nil), pd.Choices...),
-			}
-		}
 		infos[i] = PolicyInfo{
 			Policy:    fromInternal(d.Policy),
 			Label:     d.Label,
 			Extension: d.Extension,
 			Summary:   d.Summary,
-			Params:    params,
+			Params:    toParams(d.Params),
 		}
 	}
 	return infos
@@ -450,17 +460,6 @@ func Run(cfg RunConfig) (Result, error) {
 	return toResult(m), nil
 }
 
-// WorkloadParam documents one parameter of a registered workload, as
-// written in a workload spec ("name:key=val,...").
-type WorkloadParam struct {
-	// Key is the parameter name.
-	Key string `json:"key"`
-	// Default describes the value used when the key is absent.
-	Default string `json:"default,omitempty"`
-	// Help is a one-line description.
-	Help string `json:"help,omitempty"`
-}
-
 // WorkloadInfo describes a registered workload.
 type WorkloadInfo struct {
 	// Name is the spec name.
@@ -473,7 +472,7 @@ type WorkloadInfo struct {
 	Tasks int `json:"tasks,omitempty"`
 	// Params documents the entry's parameters (beyond the reserved
 	// seed and scale, which every workload accepts).
-	Params []WorkloadParam `json:"params,omitempty"`
+	Params []Param `json:"params,omitempty"`
 	// FileBacked marks workloads that load their task graph from an
 	// external file and therefore require a file=PATH parameter.
 	FileBacked bool `json:"file_backed,omitempty"`
@@ -489,10 +488,8 @@ func Workloads() []WorkloadInfo {
 		info := WorkloadInfo{
 			Name:        e.Name,
 			Description: e.Description,
+			Params:      toParams(e.Params),
 			FileBacked:  e.FileBacked,
-		}
-		for _, p := range e.Params {
-			info.Params = append(info.Params, WorkloadParam{Key: p.Key, Default: p.Default, Help: p.Help})
 		}
 		if !e.FileBacked {
 			if prog, err := workloads.Build(e.Name, 42, 1.0); err == nil {

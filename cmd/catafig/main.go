@@ -1,5 +1,5 @@
 // Command catafig regenerates every table and figure of the paper's
-// evaluation section (see DESIGN.md §5 for the experiment index):
+// evaluation section:
 //
 //	-table1    Table I (processor configuration)
 //	-fig4      Figure 4 (speedup + normalized EDP: FIFO, CATS+BL, CATS+SA, CATA)
@@ -10,7 +10,7 @@
 //	-all       everything above
 //
 // Absolute numbers differ from the paper (behavioral simulator, synthetic
-// workloads — DESIGN.md §2); the shape of each figure is what reproduces.
+// workloads); the shape of each figure is what reproduces.
 package main
 
 import (

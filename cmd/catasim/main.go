@@ -62,7 +62,7 @@ func main() {
 			}
 			fmt.Printf("%-14s %s  %s\n", w.Name, tasks, w.Description)
 			for _, p := range w.Params {
-				fmt.Printf("%-14s     %-10s %s (default %s)\n", "", p.Key, p.Help, p.Default)
+				fmt.Printf("%-14s     %-10s %s (%s, default %s)\n", "", p.Key, p.Help, p.Kind, p.Default)
 			}
 		}
 		fmt.Println("\npolicies:")

@@ -1,5 +1,5 @@
-// Command catasweep runs the ablation sweeps that probe the design
-// choices DESIGN.md calls out, beyond the paper's headline matrix:
+// Command catasweep runs the ablation sweeps that probe the simulator's
+// design choices, beyond the paper's headline matrix:
 //
 //	-sweep budget       power budget 2..30 fast cores (CATA, CATA+RSU, TurboMode)
 //	-sweep latency      DVFS transition latency 1µs..400µs (CATA vs CATA+RSU)

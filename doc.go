@@ -11,7 +11,7 @@
 // unit (the RSU) removes the software reconfiguration bottleneck.
 //
 // This package is the public API over a full behavioral simulation stack
-// (see DESIGN.md): a picosecond discrete-event engine, a 32-core machine
+// (see ARCHITECTURE.md): a picosecond discrete-event engine, a 32-core machine
 // model with dual-rail DVFS and ACPI C-states, an analytic power model, a
 // cpufreq software stack with lock contention, the runtime system with
 // an open policy registry — the paper's scheduling/acceleration

@@ -9,7 +9,7 @@ import (
 // Claim is one quantitative statement from the paper checked against a
 // measured matrix. Checks are qualitative-shape assertions (who wins,
 // roughly by how much, where), not absolute-number matches: the substrate
-// is a behavioral simulator, not the authors' gem5 testbed (DESIGN.md §6).
+// is a behavioral simulator, not the authors' gem5 testbed.
 type Claim struct {
 	ID        string
 	Statement string // the paper's claim

@@ -2,7 +2,7 @@ package exp
 
 // Integration tests: full applications under full policies, with
 // invariants sampled continuously while the simulation runs — the
-// cross-module checks DESIGN.md §4 promises.
+// checks that span modules.
 
 import (
 	"testing"

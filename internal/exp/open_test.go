@@ -109,7 +109,8 @@ func TestOpenRunOverload(t *testing.T) {
 }
 
 // TestOpenRunBadSpecs ensures malformed arrival specs fail loudly with
-// the spec in the message, and that ValidateArrivals agrees with Run.
+// the arrivals cause in the message, and that ValidateArrivals agrees
+// with Run.
 func TestOpenRunBadSpecs(t *testing.T) {
 	for _, bad := range []string{"poisson", "poisson:lambda=-1", "burst:rate=9"} {
 		if err := ValidateArrivals(bad); err == nil {
@@ -118,8 +119,8 @@ func TestOpenRunBadSpecs(t *testing.T) {
 		_, err := Run(openSpec(bad))
 		if err == nil {
 			t.Errorf("Run with arrivals %q succeeded, want error", bad)
-		} else if !strings.Contains(err.Error(), "opensys") {
-			t.Errorf("Run error for %q lost the opensys cause: %v", bad, err)
+		} else if !strings.Contains(err.Error(), "arrivals") {
+			t.Errorf("Run error for %q lost the arrivals cause: %v", bad, err)
 		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"cata/internal/rts"
 	"cata/internal/sched"
 	"cata/internal/sim"
+	"cata/internal/spec"
 	"cata/internal/turbo"
 )
 
@@ -83,7 +84,7 @@ type PolicyDoc struct {
 	// Summary is a one-line description.
 	Summary string
 	// Params documents the policy's typed spec parameters.
-	Params []policies.ParamDoc
+	Params []spec.ParamDoc
 }
 
 // PolicyDocs returns documentation for every registered policy: paper
@@ -160,7 +161,7 @@ func (p *Policy) UnmarshalJSON(b []byte) error {
 // ParsePolicy resolves a policy spec string (`name` or
 // `name:key=val,...`, name matched case-insensitively) against the
 // registry, validating parameter keys, types and bounds, and returns the
-// canonical Policy. The error is a *policies.SpecError naming the
+// canonical Policy. The error is a *spec.Error naming the
 // offending parameter when one is at fault.
 func ParsePolicy(s string) (Policy, error) {
 	canon, err := policies.Canonicalize(s)

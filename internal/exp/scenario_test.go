@@ -71,6 +71,51 @@ func TestCacheKeyCanonicalizesWorkloadSpecs(t *testing.T) {
 	if _, ok := cacheKey(RunSpec{Workload: "trace:file=/does/not/exist", Policy: CATA}); ok {
 		t.Fatal("unreadable trace file is cacheable")
 	}
+
+	// Arrival specs canonicalize the same way: kind case, parameter
+	// order and whitespace fold away; different values do not.
+	open := func(arrivals string) string {
+		t.Helper()
+		k, ok := cacheKey(RunSpec{Workload: "forkjoin:width=4,phases=2", Policy: CATA, FastCores: 4, Arrivals: arrivals})
+		if !ok {
+			t.Fatalf("cacheKey(arrivals %q) not cacheable", arrivals)
+		}
+		return k
+	}
+	o := open("poisson:lambda=2000,jobs=4")
+	for _, same := range []string{"poisson:jobs=4, lambda=2000", " Poisson : jobs=4,lambda=2000 "} {
+		if open(same) != o {
+			t.Fatalf("arrivals %q forked the cache key", same)
+		}
+	}
+	if open("poisson:lambda=2000,jobs=5") == o {
+		t.Fatal("different arrival count shares a cache key")
+	}
+	if _, ok := cacheKey(RunSpec{Workload: "dedup", Policy: CATA, Arrivals: "poisson:lambda=1,jobs=1e3"}); ok {
+		t.Fatal("invalid arrivals spec is cacheable")
+	}
+}
+
+// TestCacheKeyPinned pins closed-system cache keys to literal values, so
+// a refactor of spec parsing or canonicalization cannot silently orphan
+// every cached result.
+func TestCacheKeyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec RunSpec
+		want string
+	}{
+		{RunSpec{Workload: "dedup", Policy: CATA, FastCores: 16},
+			"dc87d8a69093cef0419f530458e6de03f264a81056a9dc36ba3b19fdee07dbd4"},
+		{RunSpec{Workload: "layered:width=6,depth=8", Policy: "CATS+BL:theta=0.8", FastCores: 8},
+			"0098c938d1f3d8f4f6f9353f73de54053de1b2ed338f539fa319dcbdf1e3154c"},
+		{RunSpec{Workload: "forkjoin:width=8,phases=2,dur=100", Policy: CATARSU, FastCores: 24, Seed: 7, Scale: 0.5},
+			"eef515cc0af0fdcd061c2c6ded56a21941415e8b05623b921dc3112bc295f6c5"},
+	} {
+		got, ok := cacheKey(tc.spec)
+		if !ok || got != tc.want {
+			t.Errorf("cacheKey(%v) = %q, %v; want %q", tc.spec, got, ok, tc.want)
+		}
+	}
 }
 
 // TestTraceReplayReproducesRunExactly: exporting any workload to a JSON

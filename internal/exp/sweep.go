@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"cata/internal/batch"
+	"cata/internal/opensys"
 	"cata/internal/policies"
 	"cata/internal/workloads"
 )
@@ -103,9 +104,10 @@ func Sweep(ctx context.Context, specs []RunSpec, opts SweepOptions) ([]RunResult
 // — the canonical parameter spelling plus, for file-backed workloads,
 // the file's content hash — so generated-workload parameters key the
 // cache correctly and editing a trace file never reuses a stale result.
-// Specs carrying an in-memory program or output writers are not
-// content-addressable and are never cached, as are specs whose workload
-// fails to resolve (those runs fail anyway).
+// The policy and arrival specs canonicalize through their registries the
+// same way. Specs carrying an in-memory program or output writers are
+// not content-addressable and are never cached, as are specs whose
+// workload, policy or arrivals fail to resolve (those runs fail anyway).
 func cacheKey(s RunSpec) (string, bool) {
 	if s.Program != nil || s.Trace != nil || s.Timeline != nil {
 		return "", false
@@ -126,6 +128,11 @@ func cacheKey(s RunSpec) (string, bool) {
 		return "", false
 	}
 	s.Policy = Policy(canon)
+	if s.Arrivals != "" {
+		if s.Arrivals, err = opensys.Canonicalize(s.Arrivals); err != nil {
+			return "", false
+		}
+	}
 	k, err := batch.Key(s)
 	if err != nil {
 		return "", false

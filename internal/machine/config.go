@@ -3,7 +3,7 @@
 // C-states, and a DVFS controller with a 25 µs reconfiguration latency.
 //
 // The simulator operates at task/core granularity rather than instruction
-// granularity (see DESIGN.md §2): a core executes frequency-scaled compute
+// granularity: a core executes frequency-scaled compute
 // segments and frequency-invariant memory/wait segments, can halt (C1) and
 // deep-sleep (C3), and reacts to mid-segment frequency changes by rescaling
 // the remaining work onto the new operating point.
@@ -43,7 +43,7 @@ type Config struct {
 // TableIConfig returns the paper's processor configuration at the level of
 // detail the simulator uses. Micro-architectural parameters of Table I
 // (ROB, caches, NoC geometry) are folded into the workloads' per-task
-// cycle and memory-time distributions, as described in DESIGN.md.
+// cycle and memory-time distributions.
 func TableIConfig() Config {
 	return Config{
 		Cores:             32,

@@ -7,8 +7,8 @@
 // ROADMAP's north star needs — what tail latency does a stream of jobs
 // see on a shared machine under each policy.
 //
-// An arrival process is written as a spec string, mirroring the
-// workload registry's grammar:
+// An arrival process is written in the shared spec grammar
+// (internal/spec), like workloads and policies:
 //
 //	poisson:lambda=2000                 Poisson arrivals, λ jobs/second
 //	fixed:interval=500us                fixed interarrival gap
@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"cata/internal/sim"
+	"cata/internal/spec"
 	"cata/internal/xrand"
 )
 
@@ -62,69 +63,61 @@ type Process struct {
 	Window sim.Time
 }
 
-// Parse parses an arrival-process spec string.
-func Parse(spec string) (Process, error) {
-	kind, rest, hasParams := strings.Cut(spec, ":")
-	kind = strings.TrimSpace(kind)
-	p := Process{Kind: kind, Jobs: 16}
-	if kind != KindPoisson && kind != KindFixed {
-		return Process{}, fmt.Errorf("opensys: unknown arrival process %q in %q (want %s or %s)",
-			kind, spec, KindPoisson, KindFixed)
-	}
-	if hasParams && strings.TrimSpace(rest) == "" {
-		return Process{}, fmt.Errorf("opensys: spec %q has a ':' but no parameters", spec)
-	}
-	seen := map[string]bool{}
-	if hasParams {
-		for _, kv := range strings.Split(rest, ",") {
-			key, val, ok := strings.Cut(kv, "=")
-			key = strings.TrimSpace(key)
-			val = strings.TrimSpace(val)
-			if !ok || key == "" || val == "" {
-				return Process{}, fmt.Errorf("opensys: bad parameter %q in %q (want key=val)", kv, spec)
-			}
-			if seen[key] {
-				return Process{}, fmt.Errorf("opensys: duplicate parameter %q in %q", key, spec)
-			}
-			seen[key] = true
-			var err error
-			switch key {
-			case "lambda":
-				_, err = fmt.Sscanf(val, "%g", &p.Lambda)
-			case "interval":
-				p.Interval, err = parseDuration(val)
-			case "jobs":
-				_, err = fmt.Sscanf(val, "%d", &p.Jobs)
-			case "deadline":
-				p.Deadline, err = parseDuration(val)
-			case "cap":
-				_, err = fmt.Sscanf(val, "%d", &p.Cap)
-			case "window":
-				p.Window, err = parseDuration(val)
-			default:
-				return Process{}, fmt.Errorf("opensys: unknown parameter %q in %q", key, spec)
-			}
-			if err != nil {
-				return Process{}, fmt.Errorf("opensys: parameter %s=%q in %q: %v", key, val, spec, err)
-			}
-		}
-	}
-	if err := p.Validate(); err != nil {
-		return Process{}, err
-	}
-	return p, nil
+// maxSeconds bounds duration parameters so they stay representable in
+// picosecond sim.Time.
+const maxSeconds = 1e6
+
+// commonParams apply to both arrival processes.
+var commonParams = []spec.ParamDoc{
+	{Key: "jobs", Kind: spec.Int, Default: "16", Help: "number of arrivals", Min: 1},
+	{Key: "deadline", Kind: spec.Duration, Default: "0 (off)", Help: "per-job response-time SLO", Max: maxSeconds},
+	{Key: "cap", Kind: spec.Int, Default: "0 (unlimited)", Help: "max jobs in system; arrivals beyond it are shed"},
+	{Key: "window", Kind: spec.Duration, Default: "0 (off)", Help: "per-window percentile granularity", Max: maxSeconds},
 }
 
-// parseDuration converts a Go duration string to simulated time.
-func parseDuration(s string) (sim.Time, error) {
-	d, err := time.ParseDuration(s)
+var registry = spec.NewRegistry[string]("arrivals")
+
+func init() {
+	registry.Register(KindPoisson, append([]spec.ParamDoc{
+		{Key: "lambda", Kind: spec.Float, Default: "(required)", Help: "arrival rate in jobs/second", MinExclusive: true},
+	}, commonParams...), KindPoisson)
+	registry.Register(KindFixed, append([]spec.ParamDoc{
+		{Key: "interval", Kind: spec.Duration, Default: "(required)", Help: "interarrival gap", Max: maxSeconds, MinExclusive: true},
+	}, commonParams...), KindFixed)
+}
+
+// Parse parses an arrival-process spec string. Parameter kinds and
+// bounds are checked by the spec registry; Validate adds the rules that
+// span parameters.
+func Parse(s string) (Process, error) {
+	kind, sp, err := registry.Resolve(s)
 	if err != nil {
-		return 0, err
+		return Process{}, err
 	}
-	if d < 0 {
-		return 0, fmt.Errorf("negative duration %v", d)
+	p := sp.Params
+	proc := Process{
+		Kind:     kind,
+		Lambda:   p.Float("lambda", 0),
+		Interval: simTime(p.Duration("interval", 0)),
+		Jobs:     p.Int("jobs", 16),
+		Deadline: simTime(p.Duration("deadline", 0)),
+		Cap:      p.Int("cap", 0),
+		Window:   simTime(p.Duration("window", 0)),
 	}
-	return sim.Time(d.Nanoseconds()) * sim.Nanosecond, nil
+	if err := proc.Validate(); err != nil {
+		return Process{}, err
+	}
+	return proc, nil
+}
+
+// Canonicalize resolves an arrival-process spec and returns its
+// canonical form: the kind, then the parameters as written in sorted
+// key order.
+func Canonicalize(s string) (string, error) { return registry.Canonicalize(s) }
+
+// simTime converts a wall-clock duration to simulated time.
+func simTime(d time.Duration) sim.Time {
+	return sim.Time(d.Nanoseconds()) * sim.Nanosecond
 }
 
 // Validate reports structural errors in the process.

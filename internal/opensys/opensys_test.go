@@ -1,9 +1,11 @@
 package opensys
 
 import (
+	"errors"
 	"testing"
 
 	"cata/internal/sim"
+	"cata/internal/spec"
 )
 
 func TestParse(t *testing.T) {
@@ -18,6 +20,7 @@ func TestParse(t *testing.T) {
 			Process{Kind: KindPoisson, Lambda: 1500.5, Jobs: 40,
 				Deadline: 5 * sim.Millisecond, Cap: 8, Window: 100 * sim.Millisecond},
 		},
+		{"POISSON: jobs=4, lambda=2000", Process{Kind: KindPoisson, Lambda: 2000, Jobs: 4}},
 		{
 			"fixed: interval=1ms , jobs=3 ",
 			Process{Kind: KindFixed, Interval: sim.Millisecond, Jobs: 3},
@@ -36,24 +39,43 @@ func TestParse(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	specs := []string{
-		"",                                  // no kind
-		"uniform:lo=1,hi=2",                 // unknown kind
-		"poisson",                           // missing lambda
-		"poisson:",                          // colon without params
-		"poisson:lambda=0",                  // non-positive rate
-		"poisson:lambda=2000,lambda=3",      // duplicate key
-		"poisson:lambda=2000,burst=4",       // unknown key
-		"poisson:lambda=2000,jobs=0",        // jobs < 1
-		"poisson:lambda=2000,jobs",          // not key=val
-		"poisson:lambda=2000,deadline=nope", // bad duration
-		"poisson:lambda=2000,deadline=-5ms", // negative duration
-		"fixed:interval=0s",                 // non-positive interval
-		"fixed:lambda=2000",                 // rate on fixed process
+	cases := []struct {
+		spec string
+		key  string // when set, the error is a *spec.Error naming this key
+	}{
+		{"", ""},                                          // no kind
+		{"uniform:lo=1,hi=2", ""},                         // unknown kind
+		{"poisson", ""},                                   // missing lambda
+		{"poisson:", ""},                                  // colon without params
+		{"poisson:lambda=0", "lambda"},                    // non-positive rate
+		{"poisson:lambda=2000,lambda=3", "lambda"},        // duplicate key
+		{"poisson:lambda=2000,burst=4", "burst"},          // unknown key
+		{"poisson:lambda=2000,jobs=0", "jobs"},            // jobs < 1
+		{"poisson:lambda=2000,jobs", ""},                  // not key=val
+		{"poisson:lambda=2000,deadline=nope", "deadline"}, // bad duration
+		{"poisson:lambda=2000,deadline=-5ms", "deadline"}, // negative duration
+		{"fixed:interval=0s", "interval"},                 // non-positive interval
+		{"fixed:lambda=2000", "lambda"},                   // rate on fixed process
+		// Values must parse completely: no silent truncation.
+		{"poisson:lambda=2000,jobs=1e3", "jobs"},
+		{"poisson:lambda=2000abc", "lambda"},
+		{"poisson:lambda=2000,cap=3.5", "cap"},
+		{"poisson:lambda=2000,deadline=-1ms", "deadline"},
+		{"poisson:lambda=NaN", "lambda"},
+		{"poisson:lambda=2000,window=1000000h", "window"},
 	}
-	for _, s := range specs {
-		if _, err := Parse(s); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", s)
+	for _, c := range cases {
+		_, err := Parse(c.spec)
+		if err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", c.spec)
+			continue
+		}
+		if c.key == "" {
+			continue
+		}
+		var se *spec.Error
+		if !errors.As(err, &se) || se.Kind != "arrivals" || se.Key != c.key {
+			t.Errorf("Parse(%q) = %v, want an arrivals *spec.Error naming %q", c.spec, err, c.key)
 		}
 	}
 }

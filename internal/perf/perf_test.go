@@ -196,3 +196,18 @@ func TestSuiteQuick(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundExcludesSetup: a round that settles on n=1 charges only the
+// timed loop, not the entry's setup — the deep-queue prefill of 4096
+// events used to show up as dozens of allocs/op against a baseline of 0.
+func TestRoundExcludesSetup(t *testing.T) {
+	res, _, err := round("engine/deep-queue", engineDeepQueue, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The loop itself allocates nothing; the slack absorbs stray
+	// runtime allocations, which MemStats counts process-wide.
+	if res.AllocsPerOp > 16 {
+		t.Fatalf("engine/deep-queue at n=1: %d allocs/op, want ~0 (setup leaked into the timed loop)", res.AllocsPerOp)
+	}
+}

@@ -54,9 +54,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// benchFunc runs n iterations and reports how many simulation events it
-// fired (zero when the entry does not drive the engine directly).
-type benchFunc func(n int) (events int64, err error)
+// benchFunc prepares one measurement round outside the timer — like
+// testing.B.ResetTimer after setup — and returns the timed loop, which
+// runs n iterations and reports how many simulation events it fired
+// (zero when the entry does not drive the engine directly).
+type benchFunc func() (loop func(n int) (events int64, err error))
 
 // Run executes the full suite — figure matrices, per-workload runs,
 // engine and TDG microbenchmarks, then checksums — and returns the
@@ -179,8 +181,13 @@ func suite(opts Options) []entry {
 	return es
 }
 
+// untimedSetup adapts a loop that needs no setup.
+func untimedSetup(loop func(n int) (int64, error)) benchFunc {
+	return func() func(n int) (int64, error) { return loop }
+}
+
 func matrixBench(policies []exp.Policy, opts Options) benchFunc {
-	return func(n int) (int64, error) {
+	return untimedSetup(func(n int) (int64, error) {
 		for i := 0; i < n; i++ {
 			m, err := exp.RunMatrix(exp.MatrixSpec{
 				Policies: policies,
@@ -195,11 +202,11 @@ func matrixBench(policies []exp.Policy, opts Options) benchFunc {
 			}
 		}
 		return 0, nil
-	}
+	})
 }
 
 func workloadBench(workload string, opts Options) benchFunc {
-	return func(n int) (int64, error) {
+	return untimedSetup(func(n int) (int64, error) {
 		for i := 0; i < n; i++ {
 			m, err := exp.Run(exp.RunSpec{
 				Workload: workload, Policy: exp.CATA,
@@ -213,62 +220,73 @@ func workloadBench(workload string, opts Options) benchFunc {
 			}
 		}
 		return 0, nil
-	}
+	})
 }
 
 // engineScheduleFire is the raw schedule+fire hot loop: one event in
 // flight at a time would under-exercise the heap, so it keeps a rolling
 // window of 10k pending events.
-func engineScheduleFire(n int) (int64, error) {
+func engineScheduleFire() func(n int) (int64, error) {
 	e := sim.NewEngine()
-	for i := 0; i < n; i++ {
-		e.After(sim.Time(i%1000), func() {})
-		if e.Pending() > 10000 {
-			e.Run()
+	return func(n int) (int64, error) {
+		for i := 0; i < n; i++ {
+			e.After(sim.Time(i%1000), func() {})
+			if e.Pending() > 10000 {
+				e.Run()
+			}
 		}
+		e.Run()
+		return int64(e.Fired()), nil
 	}
-	e.Run()
-	return int64(e.Fired()), nil
 }
 
 // engineDeepQueue holds a standing queue of 4k events and fires one per
-// iteration — the sift-down regime where heap arity matters.
-func engineDeepQueue(n int) (int64, error) {
+// iteration — the sift-down regime where heap arity matters. The
+// prefill is setup: charging it to the timed loop would swamp a round
+// that settles on a small n.
+func engineDeepQueue() func(n int) (int64, error) {
 	e := sim.NewEngine()
 	for i := 0; i < 4096; i++ {
 		e.After(sim.Time(i+1), func() {})
 	}
-	for i := 0; i < n; i++ {
+	step := func() {
 		e.After(sim.Time(4096), func() {})
 		e.RunUntil(e.Now() + 1)
 	}
-	fired := int64(e.Fired())
-	e.Run()
-	return fired, nil
+	step() // grows the queue to its steady-state peak of 4097
+	setupFired := e.Fired()
+	return func(n int) (int64, error) {
+		for i := 0; i < n; i++ {
+			step()
+		}
+		return int64(e.Fired() - setupFired), nil
+	}
 }
 
 // engineCancelReschedule is the DVFS-rescale pattern: cancel the pending
 // completion, schedule a replacement.
-func engineCancelReschedule(n int) (int64, error) {
+func engineCancelReschedule() func(n int) (int64, error) {
 	e := sim.NewEngine()
-	var h sim.Handle
-	for i := 0; i < n; i++ {
-		if h.Pending() {
-			h.Cancel()
+	return func(n int) (int64, error) {
+		var h sim.Handle
+		for i := 0; i < n; i++ {
+			if h.Pending() {
+				h.Cancel()
+			}
+			h = e.After(sim.Time(i%100+1), func() {})
+			if i%64 == 0 {
+				e.Run()
+			}
 		}
-		h = e.After(sim.Time(i%100+1), func() {})
-		if i%64 == 0 {
-			e.Run()
-		}
+		e.Run()
+		return int64(e.Fired()), nil
 	}
-	e.Run()
-	return int64(e.Fired()), nil
 }
 
 // tdgSubmitDense measures the memoized bottom-level walk on a dense
 // shared-suffix graph: 512 tasks over an 8-token pool, completing ready
 // tasks every few submissions.
-func tdgSubmitDense(n int) (int64, error) {
+var tdgSubmitDense = untimedSetup(func(n int) (int64, error) {
 	for i := 0; i < n; i++ {
 		var ready []*tdg.Task
 		g := tdg.New(func(t *tdg.Task) { ready = append(ready, t) })
@@ -289,7 +307,7 @@ func tdgSubmitDense(n int) (int64, error) {
 		}
 	}
 	return 0, nil
-}
+})
 
 // measure runs fn with growing iteration counts until the target bench
 // time is met, then takes the best of three rounds at the settled count.
@@ -334,13 +352,15 @@ func measure(name string, fn benchFunc, benchTime time.Duration) (Result, error)
 	}
 }
 
-// round times one batch of n iterations.
+// round sets up and times one batch of n iterations; only the loop is
+// timed and counted.
 func round(name string, fn benchFunc, n int) (Result, time.Duration, error) {
+	loop := fn()
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	events, err := fn(n)
+	events, err := loop(n)
 	elapsed := time.Since(start)
 	if err != nil {
 		return Result{}, 0, err

@@ -7,6 +7,7 @@ import (
 	"cata/internal/program"
 	"cata/internal/sched"
 	"cata/internal/sim"
+	"cata/internal/spec"
 	"cata/internal/tdg"
 )
 
@@ -136,14 +137,14 @@ func init() {
 		Name:      "AMTHA",
 		Extension: true,
 		Summary:   "static task-to-core mapping by accumulated-time list scheduling (De Giusti et al.)",
-		Params: []ParamDoc{{
+		Params: []spec.ParamDoc{{
 			Key:     "tiebreak",
-			Kind:    Enum,
+			Kind:    spec.Enum,
 			Default: "index",
 			Help:    "rule for equal-finish cores: lowest index, rotating spread, or least accumulated time",
 			Choices: []string{"index", "spread", "accum"},
 		}},
-		Build: func(p *Params, env *Env) error {
+		Build: func(p spec.Params, env *Env) error {
 			var tie amthaTieBreak
 			switch rule := p.Str("tiebreak", "index"); rule {
 			case "index":

@@ -5,10 +5,10 @@
 //	name
 //	name:key=val,key=val,...
 //
-// exactly like the workload registry (internal/workloads). The name is
+// in the grammar every registry shares (internal/spec). The name is
 // matched case-insensitively; parameters are typed and validated against
-// the entry's ParamDoc list before anything is built, so a bad spec is
-// rejected at parse (or catad admission) time with the offending key
+// the entry's spec.ParamDoc list before anything is built, so a bad spec
+// is rejected at parse (or catad admission) time with the offending key
 // named. Canonicalize folds case and parameter order into one canonical
 // string, which is what internal/exp stores in RunSpec.Policy and hashes
 // into the batch cache key — two spellings of the same configuration
@@ -22,7 +22,6 @@ package policies
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"cata/internal/cpufreq"
 	"cata/internal/machine"
@@ -30,59 +29,9 @@ import (
 	"cata/internal/rsu"
 	"cata/internal/rts"
 	"cata/internal/sim"
+	"cata/internal/spec"
 	"cata/internal/turbo"
 )
-
-// Kind is the declared type of a policy parameter; the registry uses it
-// to validate spec values before a policy is built.
-type Kind int
-
-const (
-	// String accepts any value.
-	String Kind = iota
-	// Int accepts integers, bounded by ParamDoc.Min/Max.
-	Int
-	// Float accepts numbers, bounded by ParamDoc.Min/Max.
-	Float
-	// Enum accepts exactly the values in ParamDoc.Choices.
-	Enum
-)
-
-// String names the kind for listings and error messages.
-func (k Kind) String() string {
-	switch k {
-	case Int:
-		return "int"
-	case Float:
-		return "float"
-	case Enum:
-		return "enum"
-	default:
-		return "string"
-	}
-}
-
-// ParamDoc documents and types one policy parameter. A spec may only set
-// keys that its entry documents, and each value must satisfy the key's
-// kind and bounds — both checked without building the policy, so catad
-// can reject a bad spec at admission.
-type ParamDoc struct {
-	// Key is the parameter name as written in a spec.
-	Key string
-	// Kind is the declared value type.
-	Kind Kind
-	// Default describes the value used when the key is absent.
-	Default string
-	// Help is a one-line description.
-	Help string
-	// Min and Max bound Int and Float values (inclusive, unless
-	// MinExclusive). Max below Min disables the upper bound.
-	Min, Max float64
-	// MinExclusive makes the lower bound strict (e.g. theta in (0,1]).
-	MinExclusive bool
-	// Choices lists the accepted values of an Enum parameter.
-	Choices []string
-}
 
 // Env is the per-run wiring surface handed to a policy's Build hook: the
 // engine and machine already exist, and Cfg is the runtime configuration
@@ -127,231 +76,58 @@ type Entry struct {
 	// Summary is a one-line description.
 	Summary string
 	// Params documents and types the accepted parameters. Specs naming
-	// any other key are rejected before Build runs.
-	Params []ParamDoc
+	// any other key or violating a bound are rejected before Build runs.
+	Params []spec.ParamDoc
 	// Machine, when non-nil, adjusts the machine configuration before
 	// the machine is constructed (e.g. a different power model).
-	Machine func(p *Params, cfg *machine.Config) error
+	Machine func(p spec.Params, cfg *machine.Config) error
 	// Build completes the runtime configuration in env.
-	Build func(p *Params, env *Env) error
+	Build func(p spec.Params, env *Env) error
 }
 
-// SpecError reports a policy spec the registry rejected. Key is the
-// offending parameter key, or "" when the policy name itself is the
-// problem, so callers (catad's admission check) can name the exact
-// field in a structured error response.
-type SpecError struct {
-	// Spec is the spec as written.
-	Spec string
-	// Policy is the policy name (canonical case when known).
-	Policy string
-	// Key is the offending parameter key; "" for name-level errors.
-	Key string
-	// Reason says what was wrong.
-	Reason string
-}
-
-// Error implements error.
-func (e *SpecError) Error() string {
-	if e.Key != "" {
-		return fmt.Sprintf("policies: %s: parameter %s: %s", e.Policy, e.Key, e.Reason)
-	}
-	if e.Policy != "" {
-		return fmt.Sprintf("policies: %s: %s", e.Policy, e.Reason)
-	}
-	return fmt.Sprintf("policies: spec %q: %s", e.Spec, e.Reason)
-}
-
-// registry is keyed by the lowercased entry name.
-var registry = map[string]Entry{}
+var registry = spec.NewRegistry[Entry]("policy")
 
 // builtinOrder pins the listing order of the paper's configurations;
 // everything else lists after them alphabetically.
 var builtinOrder = map[string]int{}
 
 // Register adds an entry to the policy registry. It panics on duplicate
-// or empty names, nil Build hooks, and malformed parameter docs —
-// programmer errors in an init-time, static call graph.
+// (case-folded) or empty names, nil Build hooks, and malformed parameter
+// docs — programmer errors in an init-time, static call graph.
 func Register(e Entry) {
-	if e.Name == "" || e.Build == nil {
-		panic("policies: Register with empty name or nil Build")
+	if e.Build == nil {
+		panic(fmt.Sprintf("policies: %q registered with a nil Build", e.Name))
 	}
-	key := strings.ToLower(e.Name)
-	if _, dup := registry[key]; dup {
-		panic(fmt.Sprintf("policies: duplicate registration of %q", e.Name))
-	}
-	seen := map[string]bool{}
-	for _, d := range e.Params {
-		if d.Key == "" || seen[d.Key] {
-			panic(fmt.Sprintf("policies: %s declares an empty or duplicate parameter key", e.Name))
-		}
-		if d.Kind == Enum && len(d.Choices) == 0 {
-			panic(fmt.Sprintf("policies: %s parameter %s is an enum with no choices", e.Name, d.Key))
-		}
-		seen[d.Key] = true
-	}
-	registry[key] = e
+	registry.Register(e.Name, e.Params, e)
 }
 
 // List returns every registered entry: the eight built-in
 // configurations first (paper order, then the built-in extensions),
 // then everything else alphabetically by name.
 func List() []Entry {
-	es := make([]Entry, 0, len(registry))
-	for _, e := range registry {
-		es = append(es, e)
-	}
-	sort.Slice(es, func(i, j int) bool {
+	es := registry.Entries()
+	sort.SliceStable(es, func(i, j int) bool {
 		oi, iBuiltin := builtinOrder[es[i].Name]
 		oj, jBuiltin := builtinOrder[es[j].Name]
-		switch {
-		case iBuiltin != jBuiltin:
-			return iBuiltin
-		case iBuiltin:
-			return oi < oj
-		default:
-			return es[i].Name < es[j].Name
-		}
+		return iBuiltin && (!jBuiltin || oi < oj)
 	})
 	return es
 }
 
-// Names returns the canonical names of every registered policy, in List
-// order.
-func Names() []string {
-	var ns []string
-	for _, e := range List() {
-		ns = append(ns, e.Name)
-	}
-	return ns
-}
-
 // Lookup returns the registry entry for a policy name, matched
 // case-insensitively.
-func Lookup(name string) (Entry, error) {
-	e, ok := registry[strings.ToLower(name)]
-	if !ok {
-		return Entry{}, &SpecError{
-			Spec:   name,
-			Policy: name,
-			Reason: fmt.Sprintf("unknown policy (have %s)", strings.Join(Names(), ", ")),
-		}
-	}
-	return e, nil
-}
-
-// checkParams rejects spec keys the entry does not document and values
-// that fail their declared kind or bounds.
-func checkParams(e Entry, sp Spec) error {
-	docs := map[string]ParamDoc{}
-	for _, d := range e.Params {
-		docs[d.Key] = d
-	}
-	for _, k := range sp.keys {
-		d, ok := docs[k]
-		if !ok {
-			have := "none"
-			if len(e.Params) > 0 {
-				keys := make([]string, 0, len(e.Params))
-				for _, pd := range e.Params {
-					keys = append(keys, pd.Key)
-				}
-				sort.Strings(keys)
-				have = strings.Join(keys, ", ")
-			}
-			return &SpecError{
-				Spec:   sp.Canonical(),
-				Policy: e.Name,
-				Key:    k,
-				Reason: fmt.Sprintf("unknown parameter (have %s)", have),
-			}
-		}
-		if err := checkValue(e.Name, d, sp.vals[k]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkValue validates one provided value against its ParamDoc.
-func checkValue(policy string, d ParamDoc, val string) error {
-	bad := func(reason string) error {
-		return &SpecError{Policy: policy, Key: d.Key, Reason: reason}
-	}
-	switch d.Kind {
-	case Int:
-		v, err := parseInt(val)
-		if err != nil {
-			return bad(fmt.Sprintf("value %q is not an integer", val))
-		}
-		return checkBounds(bad, d, float64(v), val)
-	case Float:
-		v, err := parseFloat(val)
-		if err != nil {
-			return bad(fmt.Sprintf("value %q is not a number", val))
-		}
-		return checkBounds(bad, d, v, val)
-	case Enum:
-		for _, c := range d.Choices {
-			if val == c {
-				return nil
-			}
-		}
-		return bad(fmt.Sprintf("value %q is not one of %s", val, strings.Join(d.Choices, ", ")))
-	default:
-		return nil
-	}
-}
-
-func checkBounds(bad func(string) error, d ParamDoc, v float64, val string) error {
-	if v < d.Min || (d.MinExclusive && v == d.Min) {
-		cmp := ">="
-		if d.MinExclusive {
-			cmp = ">"
-		}
-		return bad(fmt.Sprintf("value %s must be %s %g", val, cmp, d.Min))
-	}
-	if d.Max > d.Min && v > d.Max {
-		return bad(fmt.Sprintf("value %s must be <= %g", val, d.Max))
-	}
-	return nil
-}
+func Lookup(name string) (Entry, error) { return registry.Lookup(name) }
 
 // Canonicalize resolves a spec string against the registry and returns
 // its canonical form: the entry's canonical name followed by the
 // validated parameters in sorted key order. This is the string RunSpec
 // carries and the batch cache key hashes — "cata+rsu" and "CATA+RSU"
 // canonicalize identically, as do two orderings of the same parameters.
-func Canonicalize(spec string) (string, error) {
-	sp, e, err := resolveSpec(spec)
-	if err != nil {
-		return "", err
-	}
-	sp.Name = e.Name
-	return sp.Canonical(), nil
-}
+func Canonicalize(s string) (string, error) { return registry.Canonicalize(s) }
 
 // Resolve parses and validates a spec string and returns its entry plus
-// the typed parameter accessor its hooks consume.
-func Resolve(spec string) (Entry, *Params, error) {
-	sp, e, err := resolveSpec(spec)
-	if err != nil {
-		return Entry{}, nil, err
-	}
-	return e, newParams(e.Name, sp.vals), nil
-}
-
-func resolveSpec(spec string) (Spec, Entry, error) {
-	sp, err := ParseSpec(spec)
-	if err != nil {
-		return Spec{}, Entry{}, err
-	}
-	e, err := Lookup(sp.Name)
-	if err != nil {
-		return Spec{}, Entry{}, err
-	}
-	if err := checkParams(e, sp); err != nil {
-		return Spec{}, Entry{}, err
-	}
-	return sp, e, nil
+// the typed parameters its hooks consume.
+func Resolve(s string) (Entry, spec.Params, error) {
+	e, sp, err := registry.Resolve(s)
+	return e, sp.Params, err
 }

@@ -4,47 +4,60 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"cata/internal/spec"
 )
 
-// specErr asserts err is a *SpecError and returns it.
-func specErr(t *testing.T, err error) *SpecError {
+// specErr asserts err is a policy *spec.Error and returns it.
+func specErr(t *testing.T, err error) *spec.Error {
 	t.Helper()
-	var se *SpecError
-	if !errors.As(err, &se) {
-		t.Fatalf("error %v (%T) is not a *SpecError", err, err)
+	var se *spec.Error
+	if !errors.As(err, &se) || se.Kind != "policy" {
+		t.Fatalf("error %v (%T) is not a policy *spec.Error", err, err)
 	}
 	return se
 }
 
+// TestParseSpec: policy specs parse into the registered entry plus its
+// parameters, bare names carry none, and the canonical form sorts keys
+// and drops whitespace.
 func TestParseSpec(t *testing.T) {
-	sp, err := ParseSpec("AMTHA:tiebreak=spread")
+	e, p, err := Resolve("AMTHA:tiebreak=spread")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Name != "AMTHA" || sp.vals["tiebreak"] != "spread" {
-		t.Fatalf("parsed %+v", sp)
+	if v, ok := p.Lookup("tiebreak"); e.Name != "AMTHA" || !ok || v != "spread" {
+		t.Fatalf("parsed %q tiebreak=%q (%v)", e.Name, v, ok)
 	}
 
 	// Bare name, no parameters.
-	sp, err = ParseSpec("FIFO")
-	if err != nil || sp.Name != "FIFO" || len(sp.keys) != 0 {
-		t.Fatalf("bare spec: %+v, %v", sp, err)
+	e, p, err = Resolve("FIFO")
+	if err != nil || e.Name != "FIFO" {
+		t.Fatalf("bare spec: %q, %v", e.Name, err)
+	}
+	if _, ok := p.Lookup("tiebreak"); ok {
+		t.Fatal("bare spec carries a parameter")
 	}
 
 	// Canonical form sorts keys and survives whitespace.
-	sp, err = ParseSpec("X: b=2 , a=1")
+	sp, err := spec.Parse("X: b=2 , a=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sp.Canonical(); got != "X:a=1,b=2" {
 		t.Fatalf("Canonical = %q", got)
 	}
+	if got, err := Canonicalize(" amtha : tiebreak = spread "); err != nil || got != "AMTHA:tiebreak=spread" {
+		t.Fatalf("Canonicalize = %q, %v", got, err)
+	}
 }
 
+// TestParseSpecHostile: grammar errors (covered in internal/spec)
+// surface from the policy registry as policy *spec.Errors.
 func TestParseSpecHostile(t *testing.T) {
 	for _, tc := range []struct {
 		spec string
-		key  string // expected SpecError.Key, "" when the whole spec is bad
+		key  string // expected Error.Key, "" when the whole spec is bad
 	}{
 		{"", ""},
 		{":a=1", ""},
@@ -53,10 +66,10 @@ func TestParseSpecHostile(t *testing.T) {
 		{"FIFO:=1", ""},
 		{"X:a=1,a=2", "a"},
 	} {
-		_, err := ParseSpec(tc.spec)
+		_, err := Canonicalize(tc.spec)
 		se := specErr(t, err)
 		if se.Key != tc.key {
-			t.Errorf("ParseSpec(%q): Key = %q, want %q (err %v)", tc.spec, se.Key, tc.key, err)
+			t.Errorf("Canonicalize(%q): Key = %q, want %q (err %v)", tc.spec, se.Key, tc.key, err)
 		}
 	}
 }
@@ -73,7 +86,7 @@ func TestLookupCaseInsensitive(t *testing.T) {
 	}
 	_, err := Lookup("no-such-policy")
 	se := specErr(t, err)
-	if se.Policy != "no-such-policy" || !strings.Contains(se.Reason, "unknown policy") {
+	if se.Name != "no-such-policy" || !strings.Contains(se.Reason, "unknown policy") {
 		t.Fatalf("unknown-policy error = %+v", se)
 	}
 	// The error names the valid policies, so a typo is self-correcting.
@@ -125,9 +138,9 @@ func TestCanonicalizeHostile(t *testing.T) {
 	} {
 		_, err := Canonicalize(tc.spec)
 		se := specErr(t, err)
-		if se.Policy != tc.policy || se.Key != tc.key {
+		if se.Name != tc.policy || se.Key != tc.key {
 			t.Errorf("Canonicalize(%q): policy=%q key=%q, want policy=%q key=%q (err %v)",
-				tc.spec, se.Policy, se.Key, tc.policy, tc.key, err)
+				tc.spec, se.Name, se.Key, tc.policy, tc.key, err)
 		}
 	}
 }
@@ -146,12 +159,6 @@ func TestResolveParams(t *testing.T) {
 	// Absent keys fall back to the declared defaults.
 	if got := p.Str("absent", "def"); got != "def" {
 		t.Fatalf("Str default = %q", got)
-	}
-	if got := p.Int("absent", 7); got != 7 {
-		t.Fatalf("Int default = %d", got)
-	}
-	if got := p.Float("absent", 2.5); got != 2.5 {
-		t.Fatalf("Float default = %g", got)
 	}
 
 	_, p, err = Resolve("CATS+BL:theta=0.25")
@@ -191,7 +198,7 @@ func TestListOrderAndDocs(t *testing.T) {
 			if d.Key == "" || d.Default == "" || d.Help == "" {
 				t.Errorf("%s param %+v is underdocumented", e.Name, d)
 			}
-			if d.Kind == Enum && len(d.Choices) == 0 {
+			if d.Kind == spec.Enum && len(d.Choices) == 0 {
 				t.Errorf("%s enum param %q has no choices", e.Name, d.Key)
 			}
 		}
@@ -208,23 +215,13 @@ func TestRegisterRejectsBadEntries(t *testing.T) {
 		}()
 		Register(e)
 	}
-	build := func(*Params, *Env) error { return nil }
+	build := func(spec.Params, *Env) error { return nil }
 	mustPanic("duplicate", Entry{Name: "FIFO", Summary: "dup", Build: build})
 	mustPanic("duplicate case-folded", Entry{Name: "fifo", Summary: "dup", Build: build})
 	mustPanic("empty name", Entry{Summary: "anon", Build: build})
 	mustPanic("nil build", Entry{Name: "NilBuild", Summary: "x"})
 	mustPanic("bad enum param", Entry{
 		Name: "BadEnum", Summary: "x", Build: build,
-		Params: []ParamDoc{{Key: "mode", Kind: Enum, Default: "a", Help: "h"}},
+		Params: []spec.ParamDoc{{Key: "mode", Kind: spec.Enum, Default: "a", Help: "h"}},
 	})
-}
-
-func TestKindString(t *testing.T) {
-	for k, want := range map[Kind]string{
-		String: "string", Int: "int", Float: "float", Enum: "enum",
-	} {
-		if k.String() != want {
-			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), want)
-		}
-	}
 }

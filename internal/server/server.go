@@ -22,13 +22,12 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync/atomic"
 
 	"cata"
 	"cata/internal/jobs"
 	"cata/internal/metrics"
-	"cata/internal/policies"
+	"cata/internal/spec"
 	"cata/internal/workloads"
 )
 
@@ -178,16 +177,16 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // writeSpecError writes a 400 for a config rejected at admission. When
-// the cause is a bad policy spec, the body names the offending
-// component — {"error": ..., "policy": ..., "param": ...} — so clients
-// can point at the exact field; other errors keep the plain
-// {"error": ...} shape.
+// the cause is a bad spec, the body names the offending component —
+// {"error": ..., <kind>: name, "param": key}, where kind is "workload",
+// "policy" or "arrivals" — so clients can point at the exact field;
+// other errors keep the plain {"error": ...} shape.
 func writeSpecError(w http.ResponseWriter, context string, err error) {
 	body := map[string]string{"error": fmt.Sprintf("%s: %v", context, err)}
-	var se *policies.SpecError
+	var se *spec.Error
 	if errors.As(err, &se) {
-		if se.Policy != "" {
-			body["policy"] = se.Policy
+		if se.Kind != "" && se.Name != "" {
+			body[se.Kind] = se.Name
 		}
 		if se.Key != "" {
 			body["param"] = se.Key
@@ -230,25 +229,26 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return dec.Decode(v)
 }
 
-// checkWorkload validates that a workload spec names a registered
-// workload (parameters are validated at build time by the registry).
-func checkWorkload(spec string) error {
-	if spec == "" {
+// checkConfig resolves a config's three specs — workload, policy and
+// arrivals — against their registries, checking names, parameter keys,
+// kinds and bounds without building anything or reading files. The
+// empty policy is the FIFO default; empty arrivals mean a closed run.
+func checkConfig(c cata.RunConfig) error {
+	if c.Workload == "" {
 		return errors.New("workload required")
 	}
-	name, _, _ := strings.Cut(spec, ":")
-	_, err := workloads.Lookup(name)
-	return err
-}
-
-// checkPolicy validates a policy spec against the policy registry:
-// name, parameter keys, types and bounds, all without running anything.
-// The empty spec is the FIFO default.
-func checkPolicy(p cata.Policy) error {
-	if p == "" {
-		return nil
+	if _, err := workloads.Canonicalize(c.Workload); err != nil {
+		return err
 	}
-	return cata.ValidatePolicy(string(p))
+	if c.Policy != "" {
+		if err := cata.ValidatePolicy(string(c.Policy)); err != nil {
+			return err
+		}
+	}
+	if c.Arrivals != "" {
+		return cata.ValidateArrivals(c.Arrivals)
+	}
+	return nil
 }
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
@@ -257,19 +257,9 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		writeSpecError(w, "decoding run config", err)
 		return
 	}
-	if err := checkWorkload(cfg.Workload); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := checkConfig(cfg); err != nil {
+		writeSpecError(w, "validating run config", err)
 		return
-	}
-	if err := checkPolicy(cfg.Policy); err != nil {
-		writeSpecError(w, "validating policy", err)
-		return
-	}
-	if cfg.Arrivals != "" {
-		if err := cata.ValidateArrivals(cfg.Arrivals); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 	}
 	label := fmt.Sprintf("%s/%v/fast=%d", cfg.Workload, cfg.Policy, cfg.FastCores)
 	s.submit(w, r, "run", label, []cata.RunConfig{cfg})
@@ -285,12 +275,8 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	// so the daemon can never drift from the in-process API.
 	cfgs := cfg.Configs()
 	for _, c := range cfgs {
-		if err := checkWorkload(c.Workload); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if err := checkPolicy(c.Policy); err != nil {
-			writeSpecError(w, "validating policy", err)
+		if err := checkConfig(c); err != nil {
+			writeSpecError(w, "validating sweep config", err)
 			return
 		}
 	}

@@ -299,12 +299,13 @@ func TestStateParity(t *testing.T) {
 }
 
 // TestFailedRunReported: a run that fails at build time lands the job
-// in failed with the cause preserved (admission checks only cover the
-// workload name, not its parameters).
+// in failed with the cause preserved (admission resolves specs but
+// reads no files, so a missing trace file only fails at build time).
 func TestFailedRunReported(t *testing.T) {
 	_, c := newTestService(t, server.Config{Workers: 1, QueueDepth: 4})
 	ctx := context.Background()
-	st, err := c.SubmitRun(ctx, cata.RunConfig{Workload: "layered:bogus=1"})
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	st, err := c.SubmitRun(ctx, cata.RunConfig{Workload: "trace:file=" + missing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,25 +464,38 @@ func TestPolicySpecValidation(t *testing.T) {
 		return got
 	}
 
-	// Unknown policy name: the body names the policy.
-	got := post400("/v1/runs", `{"workload":"dedup","policy":"NoSuchPolicy"}`)
-	if got["policy"] != "NoSuchPolicy" || !strings.Contains(got["error"], "unknown policy") {
-		t.Fatalf("unknown-policy body = %v", got)
-	}
-	// Bad enum value: the body names policy and the offending key.
-	got = post400("/v1/runs", `{"workload":"dedup","policy":"AMTHA:tiebreak=bogus"}`)
-	if got["policy"] != "AMTHA" || got["param"] != "tiebreak" {
-		t.Fatalf("bad-enum body = %v", got)
-	}
-	// Out-of-bounds float deep inside a sweep config.
-	got = post400("/v1/sweeps", `{"workloads":["dedup"],"policies":["FIFO","CATS+BL:theta=2"]}`)
-	if got["policy"] != "CATS+BL" || got["param"] != "theta" {
-		t.Fatalf("sweep bad-theta body = %v", got)
-	}
-	// Unknown parameter key.
-	got = post400("/v1/runs", `{"workload":"dedup","policy":"FIFO:hint=1"}`)
-	if got["policy"] != "FIFO" || got["param"] != "hint" {
-		t.Fatalf("unknown-key body = %v", got)
+	// Every spec kind — workload, policy, arrivals — is resolved at
+	// admission; the body names the kind, the entry and the offending
+	// key ("" when the name itself is at fault).
+	for _, tc := range []struct {
+		path, body      string
+		kind, name, key string
+		errorMentions   string
+	}{
+		{"/v1/runs", `{"workload":"dedup","policy":"NoSuchPolicy"}`,
+			"policy", "NoSuchPolicy", "", "unknown policy"},
+		{"/v1/runs", `{"workload":"dedup","policy":"AMTHA:tiebreak=bogus"}`,
+			"policy", "AMTHA", "tiebreak", "tiebreak"},
+		// Out-of-bounds float deep inside a sweep config.
+		{"/v1/sweeps", `{"workloads":["dedup"],"policies":["FIFO","CATS+BL:theta=2"]}`,
+			"policy", "CATS+BL", "theta", "theta"},
+		{"/v1/runs", `{"workload":"dedup","policy":"FIFO:hint=1"}`,
+			"policy", "FIFO", "hint", "unknown parameter"},
+		{"/v1/runs", `{"workload":"nope"}`,
+			"workload", "nope", "", "unknown workload"},
+		{"/v1/runs", `{"workload":"layered:width=-5"}`,
+			"workload", "layered", "width", "must be >= 1"},
+		{"/v1/sweeps", `{"workloads":["dedup","Chain:scale=0"],"policies":["FIFO"]}`,
+			"workload", "chain", "scale", "scale"},
+		{"/v1/runs", `{"workload":"dedup","arrivals":"poisson:lambda=1,jobs=1e3"}`,
+			"arrivals", "poisson", "jobs", "not an integer"},
+		{"/v1/runs", `{"workload":"dedup","arrivals":"burst:rate=9"}`,
+			"arrivals", "burst", "", "unknown arrivals"},
+	} {
+		got := post400(tc.path, tc.body)
+		if got[tc.kind] != tc.name || got["param"] != tc.key || !strings.Contains(got["error"], tc.errorMentions) {
+			t.Errorf("POST %s %s: body = %v, want %s=%q param=%q", tc.path, tc.body, got, tc.kind, tc.name, tc.key)
+		}
 	}
 
 	// And the happy path: a parameterized spec string is accepted,

@@ -1,77 +1,104 @@
 package workloads
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cata/internal/spec"
 )
 
+// TestParseSpec: workload specs parse into the registered entry plus its
+// parameters, and the canonical form sorts keys; a bare name is its own
+// canonical form.
 func TestParseSpec(t *testing.T) {
-	sp, err := ParseSpec("layered:width=16,depth=32,seed=7")
+	_, sp, err := registry.Resolve("layered:width=16,depth=32,fanin=3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.Name != "layered" {
 		t.Fatalf("name = %q", sp.Name)
 	}
-	if v, ok := sp.Param("width"); !ok || v != "16" {
+	if v, ok := sp.Params.Lookup("width"); !ok || v != "16" {
 		t.Fatalf("width = %q, %v", v, ok)
 	}
-	if got, want := sp.Canonical(), "layered:depth=32,seed=7,width=16"; got != want {
+	if got, want := sp.Canonical(), "layered:depth=32,fanin=3,width=16"; got != want {
 		t.Fatalf("canonical = %q, want %q", got, want)
 	}
 
-	bare, err := ParseSpec("dedup")
-	if err != nil || bare.Name != "dedup" || bare.Canonical() != "dedup" {
-		t.Fatalf("bare spec: %+v, %v", bare, err)
+	bare, err := Canonicalize("dedup")
+	if err != nil || bare != "dedup" {
+		t.Fatalf("bare spec: %q, %v", bare, err)
 	}
 }
 
 func TestParseSpecCanonicalOrderInsensitive(t *testing.T) {
-	a, err := ParseSpec("layered:width=16,depth=32")
+	a, err := Canonicalize("layered:width=16,depth=32")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ParseSpec("layered: depth=32, width=16")
+	// Names match case-insensitively and canonicalize to the registered
+	// spelling; parameter order and whitespace fold away.
+	b, err := Canonicalize("LAYERED: depth=32, width=16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Canonical() != b.Canonical() {
-		t.Fatalf("canonical forms differ: %q vs %q", a.Canonical(), b.Canonical())
+	if a != b || a != "layered:depth=32,width=16" {
+		t.Fatalf("canonical forms differ: %q vs %q", a, b)
 	}
 }
 
+// TestParseSpecErrors: grammar errors (covered in internal/spec) surface
+// from every workload entry point as a *spec.Error of kind "workload".
 func TestParseSpecErrors(t *testing.T) {
-	for _, s := range []string{
-		"",                        // empty name
-		":width=1",                // empty name with params
-		"layered:",                // dangling colon
-		"layered:width",           // not key=val
-		"layered:=16",             // empty key
-		"layered:width=1,width=2", // duplicate key
-	} {
-		if _, err := ParseSpec(s); err == nil {
-			t.Errorf("ParseSpec(%q) accepted", s)
+	for _, s := range []string{"", ":width=1", "layered:", "layered:width", "layered:width=1,width=2"} {
+		for name, err := range map[string]error{
+			"Build":        buildErr(s),
+			"Canonicalize": canonErr(s),
+			"CacheToken":   tokenErr(s),
+		} {
+			var se *spec.Error
+			if !errors.As(err, &se) || se.Kind != "workload" {
+				t.Errorf("%s(%q) = %v, want a workload *spec.Error", name, s, err)
+			}
 		}
 	}
 }
+
+func buildErr(s string) error { _, err := Build(s, 42, 1.0); return err }
+func canonErr(s string) error { _, err := Canonicalize(s); return err }
+func tokenErr(s string) error { _, err := CacheToken(s); return err }
 
 func TestBuildRejectsBadSpecs(t *testing.T) {
-	for _, s := range []string{
-		"nope",                // unknown workload
-		"layered:bogus=1",     // undocumented parameter
-		"layered:width=zero",  // non-integer value
-		"layered:width=0",     // below minimum
-		"layered:memfrac=1.5", // out of range
-		"dedup:width=4",       // paper benchmark has no width
-		"trace",               // file-backed without file
-		"chain:scale=2",       // reserved scale out of range
-		"chain:scale=0",       // zero scale would silently mean full scale
+	for _, tc := range []struct{ spec, key string }{
+		{"nope", ""},                    // unknown workload
+		{"layered:bogus=1", "bogus"},    // undocumented parameter
+		{"layered:width=zero", "width"}, // non-integer value
+		{"layered:width=0", "width"},    // below minimum
+		{"layered:width=-5", "width"},
+		{"layered:memfrac=1.5", "memfrac"}, // out of range
+		{"layered:dur=NaN", "dur"},
+		{"dedup:width=4", "width"}, // paper benchmark has no width
+		{"chain:scale=2", "scale"}, // reserved scale out of range
+		{"chain:scale=0", "scale"}, // zero scale would silently mean full scale
+		{"chain:seed=-1", "seed"},
+		{"chain:sidedur=0", "sidedur"},
+		{"pipeline:stages=1", "stages"},
 	} {
-		if _, err := Build(s, 42, 1.0); err == nil {
-			t.Errorf("Build(%q) accepted", s)
+		// Build and the admission-time Canonicalize reject the same specs
+		// with the same key, before anything is constructed.
+		for name, err := range map[string]error{"Build": buildErr(tc.spec), "Canonicalize": canonErr(tc.spec)} {
+			var se *spec.Error
+			if !errors.As(err, &se) || se.Kind != "workload" || se.Key != tc.key {
+				t.Errorf("%s(%q) = %v, want a workload *spec.Error for key %q", name, tc.spec, err, tc.key)
+			}
 		}
+	}
+	// A file-backed workload without its file fails at build time.
+	if _, err := Build("trace", 42, 1.0); err == nil {
+		t.Error("Build(trace) accepted")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"cata/internal/program"
 	"cata/internal/sim"
+	"cata/internal/spec"
 	"cata/internal/tdg"
 )
 
@@ -48,72 +49,69 @@ func (b *builder) synthTask(tt *tdg.TaskType, mean sim.Time, skew float64, memfr
 }
 
 func init() {
-	durParams := []ParamDoc{
-		{Key: "dur", Default: "1000", Help: "mean task duration in µs at 1 GHz"},
-		{Key: "skew", Default: "0.5", Help: "log-normal sigma of task durations"},
-		{Key: "memfrac", Default: "0.3", Help: "fraction of task time stalled on memory"},
+	durParams := []spec.ParamDoc{
+		{Key: "dur", Kind: spec.Float, Default: "1000", Help: "mean task duration in µs at 1 GHz", Min: 1, Max: 1e9},
+		{Key: "skew", Kind: spec.Float, Default: "0.5", Help: "log-normal sigma of task durations", Min: 0, Max: 4},
+		{Key: "memfrac", Kind: spec.Float, Default: "0.3", Help: "fraction of task time stalled on memory", Min: 0, Max: 1},
 	}
 	Register(Entry{
 		Name:        "layered",
 		Description: "layered-random DAG: depth layers of width tasks with random fan-in and a heavy critical spine",
-		Params: append([]ParamDoc{
-			{Key: "width", Default: "16", Help: "tasks per layer"},
-			{Key: "depth", Default: "32", Help: "number of layers"},
-			{Key: "fanin", Default: "2", Help: "max predecessors drawn from the previous layer"},
+		Params: append([]spec.ParamDoc{
+			{Key: "width", Kind: spec.Int, Default: "16", Help: "tasks per layer", Min: 1},
+			{Key: "depth", Kind: spec.Int, Default: "32", Help: "number of layers", Min: 1},
+			{Key: "fanin", Kind: spec.Int, Default: "2", Help: "max predecessors drawn from the previous layer", Min: 1},
 		}, durParams...),
 		Build: buildLayered,
 	})
 	Register(Entry{
 		Name:        "forkjoin",
 		Description: "fork-join phases: width parallel tasks reduced by a critical join, chained phase to phase",
-		Params: append([]ParamDoc{
-			{Key: "width", Default: "64", Help: "parallel tasks per phase"},
-			{Key: "phases", Default: "8", Help: "number of fork-join phases"},
+		Params: append([]spec.ParamDoc{
+			{Key: "width", Kind: spec.Int, Default: "64", Help: "parallel tasks per phase", Min: 1},
+			{Key: "phases", Kind: spec.Int, Default: "8", Help: "number of fork-join phases", Min: 1},
 		}, durParams...),
 		Build: buildForkJoin,
 	})
 	Register(Entry{
 		Name:        "pipeline",
 		Description: "software pipeline: serial critical intake, parallel middle stages, serial critical writer",
-		Params: append([]ParamDoc{
-			{Key: "items", Default: "128", Help: "items flowing through the pipeline"},
-			{Key: "stages", Default: "4", Help: "pipeline stages (>= 2; first and last are serial)"},
+		Params: append([]spec.ParamDoc{
+			{Key: "items", Kind: spec.Int, Default: "128", Help: "items flowing through the pipeline", Min: 1},
+			{Key: "stages", Kind: spec.Int, Default: "4", Help: "pipeline stages (>= 2; first and last are serial)", Min: 2},
 		}, durParams...),
 		Build: buildPipeline,
 	})
 	Register(Entry{
 		Name:        "wavefront",
 		Description: "2D wavefront: task (i,j) depends on (i-1,j) and (i,j-1); the main diagonal is critical",
-		Params: append([]ParamDoc{
-			{Key: "rows", Default: "24", Help: "grid rows"},
-			{Key: "cols", Default: "24", Help: "grid columns"},
+		Params: append([]spec.ParamDoc{
+			{Key: "rows", Kind: spec.Int, Default: "24", Help: "grid rows", Min: 1},
+			{Key: "cols", Kind: spec.Int, Default: "24", Help: "grid columns", Min: 1},
 		}, durParams...),
 		Build: buildWavefront,
 	})
 	Register(Entry{
 		Name:        "chain",
 		Description: "long critical chain shedding non-blocking parallel side tasks at every link",
-		Params: append([]ParamDoc{
-			{Key: "length", Default: "48", Help: "chain links (critical tasks)"},
-			{Key: "side", Default: "6", Help: "non-critical side tasks per link"},
-			{Key: "sidedur", Default: "2*dur", Help: "mean side-task duration in µs at 1 GHz"},
+		Params: append([]spec.ParamDoc{
+			{Key: "length", Kind: spec.Int, Default: "48", Help: "chain links (critical tasks)", Min: 1},
+			{Key: "side", Kind: spec.Int, Default: "6", Help: "non-critical side tasks per link", Min: 0},
+			{Key: "sidedur", Kind: spec.Float, Default: "2*dur", Help: "mean side-task duration in µs at 1 GHz", Min: 1, Max: 1e9},
 		}, durParams...),
 		Build: buildChain,
 	})
 }
 
-func buildLayered(p *Params, seed uint64, scale float64) (*program.Program, error) {
+func buildLayered(p spec.Params, seed uint64, scale float64) (*program.Program, error) {
 	var (
-		width   = p.Int("width", 16, 1)
-		depth   = p.Int("depth", 32, 1)
-		fanin   = p.Int("fanin", 2, 1)
-		dur     = synthDur(p.Float("dur", 1000, 1, 1e9))
-		skew    = p.Float("skew", 0.5, 0, 4)
-		memfrac = p.Float("memfrac", 0.3, 0, 1)
+		width   = p.Int("width", 16)
+		depth   = p.Int("depth", 32)
+		fanin   = p.Int("fanin", 2)
+		dur     = synthDur(p.Float("dur", 1000))
+		skew    = p.Float("skew", 0.5)
+		memfrac = p.Float("memfrac", 0.3)
 	)
-	if err := p.Err(); err != nil {
-		return nil, err
-	}
 	b := newBuilder("layered", seed)
 	plain := &tdg.TaskType{Name: "layer", Criticality: 0}
 	spine := &tdg.TaskType{Name: "spine", Criticality: 1}
@@ -151,17 +149,14 @@ func buildLayered(p *Params, seed uint64, scale float64) (*program.Program, erro
 	return b.p, nil
 }
 
-func buildForkJoin(p *Params, seed uint64, scale float64) (*program.Program, error) {
+func buildForkJoin(p spec.Params, seed uint64, scale float64) (*program.Program, error) {
 	var (
-		width   = p.Int("width", 64, 1)
-		phases  = p.Int("phases", 8, 1)
-		dur     = synthDur(p.Float("dur", 1000, 1, 1e9))
-		skew    = p.Float("skew", 0.5, 0, 4)
-		memfrac = p.Float("memfrac", 0.3, 0, 1)
+		width   = p.Int("width", 64)
+		phases  = p.Int("phases", 8)
+		dur     = synthDur(p.Float("dur", 1000))
+		skew    = p.Float("skew", 0.5)
+		memfrac = p.Float("memfrac", 0.3)
 	)
-	if err := p.Err(); err != nil {
-		return nil, err
-	}
 	b := newBuilder("forkjoin", seed)
 	work := &tdg.TaskType{Name: "work", Criticality: 0}
 	join := &tdg.TaskType{Name: "join", Criticality: 1}
@@ -179,17 +174,14 @@ func buildForkJoin(p *Params, seed uint64, scale float64) (*program.Program, err
 	return b.p, nil
 }
 
-func buildPipeline(p *Params, seed uint64, scale float64) (*program.Program, error) {
+func buildPipeline(p spec.Params, seed uint64, scale float64) (*program.Program, error) {
 	var (
-		items   = p.Int("items", 128, 1)
-		stages  = p.Int("stages", 4, 2)
-		dur     = synthDur(p.Float("dur", 1000, 1, 1e9))
-		skew    = p.Float("skew", 0.5, 0, 4)
-		memfrac = p.Float("memfrac", 0.3, 0, 1)
+		items   = p.Int("items", 128)
+		stages  = p.Int("stages", 4)
+		dur     = synthDur(p.Float("dur", 1000))
+		skew    = p.Float("skew", 0.5)
+		memfrac = p.Float("memfrac", 0.3)
 	)
-	if err := p.Err(); err != nil {
-		return nil, err
-	}
 	b := newBuilder("pipeline", seed)
 	intake := &tdg.TaskType{Name: "intake", Criticality: 1}
 	writer := &tdg.TaskType{Name: "writer", Criticality: 1}
@@ -225,17 +217,14 @@ func buildPipeline(p *Params, seed uint64, scale float64) (*program.Program, err
 	return b.p, nil
 }
 
-func buildWavefront(p *Params, seed uint64, scale float64) (*program.Program, error) {
+func buildWavefront(p spec.Params, seed uint64, scale float64) (*program.Program, error) {
 	var (
-		rows    = p.Int("rows", 24, 1)
-		cols    = p.Int("cols", 24, 1)
-		dur     = synthDur(p.Float("dur", 1000, 1, 1e9))
-		skew    = p.Float("skew", 0.5, 0, 4)
-		memfrac = p.Float("memfrac", 0.3, 0, 1)
+		rows    = p.Int("rows", 24)
+		cols    = p.Int("cols", 24)
+		dur     = synthDur(p.Float("dur", 1000))
+		skew    = p.Float("skew", 0.5)
+		memfrac = p.Float("memfrac", 0.3)
 	)
-	if err := p.Err(); err != nil {
-		return nil, err
-	}
 	b := newBuilder("wavefront", seed)
 	cell := &tdg.TaskType{Name: "cell", Criticality: 0}
 	diag := &tdg.TaskType{Name: "diag", Criticality: 1}
@@ -262,18 +251,15 @@ func buildWavefront(p *Params, seed uint64, scale float64) (*program.Program, er
 	return b.p, nil
 }
 
-func buildChain(p *Params, seed uint64, scale float64) (*program.Program, error) {
+func buildChain(p spec.Params, seed uint64, scale float64) (*program.Program, error) {
 	var (
-		length  = p.Int("length", 48, 1)
-		side    = p.Int("side", 6, 0)
-		dur     = synthDur(p.Float("dur", 1000, 1, 1e9))
-		sidedur = synthDur(p.Float("sidedur", 0, 1, 1e9))
-		skew    = p.Float("skew", 0.5, 0, 4)
-		memfrac = p.Float("memfrac", 0.3, 0, 1)
+		length  = p.Int("length", 48)
+		side    = p.Int("side", 6)
+		dur     = synthDur(p.Float("dur", 1000))
+		sidedur = synthDur(p.Float("sidedur", 0))
+		skew    = p.Float("skew", 0.5)
+		memfrac = p.Float("memfrac", 0.3)
 	)
-	if err := p.Err(); err != nil {
-		return nil, err
-	}
 	if sidedur == 0 {
 		sidedur = 2 * dur
 	}

@@ -8,6 +8,7 @@ import (
 
 	"cata/internal/program"
 	"cata/internal/sim"
+	"cata/internal/spec"
 	"cata/internal/tdg"
 )
 
@@ -31,11 +32,11 @@ func init() {
 	Register(Entry{
 		Name:        "trace",
 		Description: "replay a JSON task-graph trace (see catasim -export); exact down to the barrier",
-		Params: []ParamDoc{
+		Params: []spec.ParamDoc{
 			{Key: "file", Default: "(required)", Help: "path to the JSON trace"},
 		},
 		FileBacked: true,
-		Build: func(p *Params, _ uint64, _ float64) (*program.Program, error) {
+		Build: func(p spec.Params, _ uint64, _ float64) (*program.Program, error) {
 			path := p.Str("file", "")
 			if path == "" {
 				return nil, fmt.Errorf("workloads: trace requires file=PATH")
@@ -52,10 +53,10 @@ func init() {
 	Register(Entry{
 		Name:        "dot",
 		Description: "import a Graphviz digraph as a task graph (see catasim -dot); structure and costs, no barriers",
-		Params: []ParamDoc{
+		Params: []spec.ParamDoc{
 			{Key: "file", Default: "(required)", Help: "path to the DOT file"},
-			{Key: "dur", Default: "1000", Help: "duration in µs at 1 GHz for nodes without cost attributes"},
-			{Key: "memfrac", Default: "0.3", Help: "memory-stall fraction for nodes without cost attributes"},
+			{Key: "dur", Kind: spec.Float, Default: "1000", Help: "duration in µs at 1 GHz for nodes without cost attributes", Min: 1, Max: 1e9},
+			{Key: "memfrac", Kind: spec.Float, Default: "0.3", Help: "memory-stall fraction for nodes without cost attributes", Min: 0, Max: 1},
 		},
 		FileBacked: true,
 		Build:      buildDOT,
@@ -64,7 +65,7 @@ func init() {
 }
 
 // fileCacheToken hashes the file parameter's content.
-func fileCacheToken(p *Params) (string, error) {
+func fileCacheToken(p spec.Params) (string, error) {
 	path := p.Str("file", "")
 	if path == "" {
 		return "", fmt.Errorf("workloads: missing file=PATH")
@@ -163,15 +164,12 @@ func (h *intHeap) pop() int {
 // OmpSs read-before-write resolution would drop the edge. Nodes without
 // cost attributes get the default duration split by memfrac, like every
 // generator.
-func buildDOT(p *Params, _ uint64, _ float64) (*program.Program, error) {
+func buildDOT(p spec.Params, _ uint64, _ float64) (*program.Program, error) {
 	var (
 		path    = p.Str("file", "")
-		dur     = synthDur(p.Float("dur", 1000, 1, 1e9))
-		memfrac = p.Float("memfrac", 0.3, 0, 1)
+		dur     = synthDur(p.Float("dur", 1000))
+		memfrac = p.Float("memfrac", 0.3)
 	)
-	if err := p.Err(); err != nil {
-		return nil, err
-	}
 	if path == "" {
 		return nil, fmt.Errorf("workloads: dot requires file=PATH")
 	}

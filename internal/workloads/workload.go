@@ -6,8 +6,8 @@
 // Three families are registered. First, generators for the six PARSECSs
 // benchmarks the paper evaluates (§IV): blackscholes and swaptions
 // (fork-join), fluidanimate (3D stencil), and bodytrack, dedup and
-// ferret (pipelines). We do not ship PARSEC code or inputs (DESIGN.md
-// §2); each generator reproduces the published characteristics the
+// ferret (pipelines). We do not ship PARSEC code or inputs; each
+// generator reproduces the published characteristics the
 // paper's analysis relies on — the parallelism pattern, criticality
 // annotations, inter-type duration ratios, IO-bound critical stages,
 // granularity and imbalance. Second, five seeded synthetic DAG shapes
