@@ -21,7 +21,8 @@ BENCH_PROFILES ?=
 COVER_OUT ?= cover.out
 COVER_FLOOR ?= 75.0
 
-# Fuzz-smoke budget per harness (internal/sim engine, internal/spec parser).
+# Fuzz-smoke budget per harness (internal/sim engine, internal/spec parser,
+# the RunConfig JSON decoder in package cata).
 FUZZTIME ?= 30s
 
 .PHONY: all build test bench bench-capture bench-check vet fmt fmt-check smoke catad-smoke policies-smoke opensys-smoke fuzz-smoke cover cover-check lint docs-check ci
@@ -96,12 +97,14 @@ opensys-smoke:
 		-arrivals 'poisson:lambda=2000,jobs=20,deadline=5ms,cap=4,window=10ms'
 
 # Runs each fuzz harness for a bounded budget: the internal/sim engine
-# (arena/heap invariants vs a reference engine) and the internal/spec
-# parser behind every workload, policy and arrivals spec. `go test
-# -fuzz` takes one package at a time, hence one line each.
+# (arena/heap invariants vs a reference engine), the internal/spec
+# parser behind every workload, policy and arrivals spec, and the
+# RunConfig JSON decoder behind catad's request bodies. `go test -fuzz`
+# takes one package at a time, hence one line each.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/spec
+	$(GO) test -run=NONE -fuzz=FuzzRunConfigJSON -fuzztime=$(FUZZTIME) .
 
 # Captures a statement-coverage profile across every package.
 cover:

@@ -3,7 +3,6 @@ package cata
 import (
 	"context"
 	"io"
-	"time"
 
 	"cata/internal/batch"
 	"cata/internal/exp"
@@ -11,31 +10,13 @@ import (
 
 // BatchProgress is one structured progress update of a running batch,
 // delivered through BatchOptions.OnProgress: a snapshot of the batch
-// counters plus the run that just completed. Events arrive from a
-// single goroutine in completion order, so handlers may keep state
-// without locking.
-type BatchProgress struct {
-	// Done counts finished runs (including cache hits); Total is the
-	// batch size.
-	Done, Total int
-	// Cached counts runs served from the result cache so far.
-	Cached int
-	// Failed counts runs that returned an error so far.
-	Failed int
-	// Index is the completed run's position in the input slice, or -1
-	// for the initial cache-resume summary event.
-	Index int
-	// Spec describes the completed run (workload/policy/fast).
-	Spec string
-	// Err is the completed run's error message, if any.
-	Err string
-	// Elapsed is the completed run's wall-clock time (zero when cached).
-	Elapsed time.Duration
-	// ETA estimates the remaining wall time; zero when unknown.
-	ETA time.Duration
-	// Note is the engine's annotation (the live best-EDP configuration).
-	Note string
-}
+// counters (Done, Total, Cached, Failed) plus the run that just
+// completed (its Index in the input slice, or -1 for the initial
+// cache-resume summary; its Spec, Err and Elapsed wall time), an ETA
+// for the rest, and the engine's Note (the live best-EDP
+// configuration). Events arrive from a single goroutine in completion
+// order, so handlers may keep state without locking.
+type BatchProgress = batch.Event
 
 // BatchCache is an open handle on a content-addressed JSONL result
 // cache, for callers that run many batches against one cache file —
@@ -96,18 +77,10 @@ func (o BatchOptions) internal() exp.SweepOptions {
 		CachePath:   o.CachePath,
 		Resume:      o.Resume,
 		Progress:    o.Progress,
+		Observe:     o.OnProgress,
 	}
 	if o.Cache != nil {
 		opts.Cache = o.Cache.c
-	}
-	if o.OnProgress != nil {
-		opts.Observe = func(e batch.Event) {
-			o.OnProgress(BatchProgress{
-				Done: e.Done, Total: e.Total, Cached: e.Cached, Failed: e.Failed,
-				Index: e.Index, Spec: e.Spec, Err: e.Err,
-				Elapsed: e.Elapsed, ETA: e.ETA, Note: e.Note,
-			})
-		}
 	}
 	return opts
 }
@@ -144,7 +117,7 @@ func RunBatch(ctx context.Context, cfgs []RunConfig, opts BatchOptions) ([]Batch
 	for i, r := range rs {
 		out[i] = BatchResult{Config: cfgs[i], Err: r.Err, Cached: r.Cached}
 		if r.Err == nil {
-			out[i].Result = toResult(r.Measurement)
+			out[i].Result = toResult(r.Value)
 		}
 	}
 	return out, err

@@ -17,58 +17,53 @@ import (
 // constants below name the built-in configurations; anything in
 // PolicyDocs — including policies registered after this module was
 // written — is an equally valid value. Use ParsePolicy to validate and
-// canonicalize user input; the zero value means PolicyFIFO.
-type Policy string
+// canonicalize user input; the zero value means PolicyFIFO. A Policy
+// encodes to JSON as its canonical spec string (e.g. "CATA+RSU"), the
+// same representation the result cache and the catad wire format use,
+// and decodes only a spec that ParsePolicy accepts.
+type Policy = exp.Policy
 
 // The paper's six evaluated configurations (§V), the two built-in
 // extensions, and the first externally registered policy.
 const (
 	// PolicyFIFO: baseline FIFO scheduler on a statically heterogeneous
 	// machine; criticality-blind (§II-C).
-	PolicyFIFO Policy = "FIFO"
+	PolicyFIFO = exp.FIFO
 	// PolicyCATSBL: criticality-aware task scheduling with dynamic
 	// bottom-level criticality estimation (§II-B, [24]). Accepts a
 	// `theta` parameter: the criticality threshold in (0,1].
-	PolicyCATSBL Policy = "CATS+BL"
+	PolicyCATSBL = exp.CATSBL
 	// PolicyCATSSA: criticality-aware task scheduling with static
 	// criticality annotations (the paper's criticality(c) clause).
-	PolicyCATSSA Policy = "CATS+SA"
+	PolicyCATSSA = exp.CATSSA
 	// PolicyCATA: criticality-aware task acceleration in software —
 	// runtime-driven DVFS through the cpufreq stack (§III-A).
-	PolicyCATA Policy = "CATA"
+	PolicyCATA = exp.CATA
 	// PolicyCATARSU: CATA with the hardware Runtime Support Unit (§III-B).
-	PolicyCATARSU Policy = "CATA+RSU"
+	PolicyCATARSU = exp.CATARSU
 	// PolicyTurboMode: the criticality-blind TurboMode comparator (§V-D).
-	PolicyTurboMode Policy = "TurboMode"
+	PolicyTurboMode = exp.TURBO
 	// PolicyCATARSUHA: extension beyond the paper — CATA+RSU that
 	// releases the budget of IO-halted cores and restores it on wake,
 	// adopting the one TurboMode behavior §V-D concedes is superior.
-	PolicyCATARSUHA Policy = "CATA+RSU-HA"
+	PolicyCATARSUHA = exp.CATARSUHA
 	// PolicyCATA3L: extension beyond the paper — three acceleration
 	// levels (1/1.5/2 GHz) under a power-unit budget, the multi-level
 	// generalization §III leaves as future work.
-	PolicyCATA3L Policy = "CATA+RSU-3L"
+	PolicyCATA3L = exp.CATA3L
 	// PolicyAMTHA: registered extension — De Giusti et al.'s static
 	// task-to-core mapping by accumulated-time list scheduling, the
 	// static contrast point to CATA's dynamic acceleration. Accepts a
 	// `tiebreak` parameter: index, spread or accum.
-	PolicyAMTHA Policy = "AMTHA"
+	PolicyAMTHA = exp.AMTHA
 )
 
 // AllPolicies returns every paper-evaluated policy in evaluation order
 // (the extensions are listed by ExtensionPolicies).
-func AllPolicies() []Policy { return fromInternalAll(exp.AllPolicies()) }
+func AllPolicies() []Policy { return exp.AllPolicies() }
 
 // ExtensionPolicies returns the beyond-the-paper configurations.
-func ExtensionPolicies() []Policy { return fromInternalAll(exp.ExtensionPolicies()) }
-
-func fromInternalAll(ips []exp.Policy) []Policy {
-	ps := make([]Policy, len(ips))
-	for i, ip := range ips {
-		ps[i] = fromInternal(ip)
-	}
-	return ps
-}
+func ExtensionPolicies() []Policy { return exp.ExtensionPolicies() }
 
 // Param documents one typed spec parameter of a registered policy or
 // workload, as accepted in a spec's `key=val` list and validated before
@@ -131,7 +126,7 @@ func PolicyDocs() []PolicyInfo {
 	infos := make([]PolicyInfo, len(ds))
 	for i, d := range ds {
 		infos[i] = PolicyInfo{
-			Policy:    fromInternal(d.Policy),
+			Policy:    d.Policy,
 			Label:     d.Label,
 			Extension: d.Extension,
 			Summary:   d.Summary,
@@ -163,41 +158,13 @@ func Fig5Policies() []Policy {
 	return []Policy{PolicyCATA, PolicyCATARSU, PolicyTurboMode}
 }
 
-// String returns the policy's canonical spec (for the built-in
-// configurations, the paper's label).
-func (p Policy) String() string { return p.internal().String() }
-
-// MarshalJSON encodes the policy as its canonical spec string (e.g.
-// "CATA+RSU"), the same representation the result cache and the catad
-// wire format use, so JSON stays readable and stable.
-func (p Policy) MarshalJSON() ([]byte, error) {
-	return p.internal().MarshalJSON()
-}
-
-// UnmarshalJSON decodes and validates a policy spec, as accepted by
-// ParsePolicy.
-func (p *Policy) UnmarshalJSON(b []byte) error {
-	var ip exp.Policy
-	if err := ip.UnmarshalJSON(b); err != nil {
-		return err
-	}
-	*p = fromInternal(ip)
-	return nil
-}
-
 // ParsePolicy resolves a policy spec — a registered name, matched
 // case-insensitively, with optional typed parameters ("FIFO",
 // "cata+rsu", "CATS+BL:theta=0.8", "AMTHA:tiebreak=spread") — against
 // the policy registry, validating every parameter key, type and bound.
 // The returned Policy is canonical: case and parameter order are
 // normalized so equal configurations compare (and cache) equal.
-func ParsePolicy(s string) (Policy, error) {
-	ip, err := exp.ParsePolicy(s)
-	if err != nil {
-		return "", err
-	}
-	return fromInternal(ip), nil
-}
+func ParsePolicy(s string) (Policy, error) { return exp.ParsePolicy(s) }
 
 // ValidatePolicy reports whether a policy spec resolves against the
 // registry, without running anything. Services use it to reject bad
@@ -206,9 +173,6 @@ func ValidatePolicy(s string) error {
 	_, err := exp.ParsePolicy(s)
 	return err
 }
-
-func (p Policy) internal() exp.Policy  { return exp.Policy(p) }
-func fromInternal(p exp.Policy) Policy { return Policy(p) }
 
 // RunConfig describes one simulation. The JSON form (snake_case keys,
 // policies as paper labels, durations in nanoseconds) is the request
@@ -301,6 +265,21 @@ type Result struct {
 	StaticBindingEvents int64 `json:"static_binding_events,omitempty"`
 	// AvgUtilization is mean core busy-time over the makespan, in [0,1].
 	AvgUtilization float64 `json:"avg_utilization,omitempty"`
+	// Steals counts slow-core dequeues from the high-priority ready
+	// queue (CATS scheduling).
+	Steals int64 `json:"steals,omitempty"`
+	// TurboReassigns counts TurboMode's halt-driven handoffs of the
+	// turbo budget from a halted core to a running one (§V-D).
+	TurboReassigns int64 `json:"turbo_reassigns,omitempty"`
+	// AccelsGranted counts accelerations the reconfiguration mechanism
+	// granted (RSM for CATA, the RSU for CATA+RSU).
+	AccelsGranted int64 `json:"accels_granted,omitempty"`
+	// AccelsDenied counts task starts that ran unaccelerated because
+	// the budget was exhausted (CATA only).
+	AccelsDenied int64 `json:"accels_denied,omitempty"`
+	// BudgetUtilization is the time-averaged number of accelerated
+	// cores over the fast-core budget, in [0,1] (CATA only).
+	BudgetUtilization float64 `json:"budget_utilization,omitempty"`
 	// Open carries the open-system traffic report; nil for closed runs
 	// (no RunConfig.Arrivals).
 	Open *OpenResult `json:"open,omitempty"`
@@ -365,6 +344,10 @@ func toDuration(t sim.Time) time.Duration {
 	return time.Duration(int64(t) / int64(sim.Nanosecond))
 }
 
+// toResult lowers a measurement to the public result. It is the one
+// conversion between the harness and the public types, because it
+// changes units: picosecond sim.Time becomes nanosecond time.Duration.
+// TestResultCoversMeasurement keeps it complete.
 func toResult(m exp.Measurement) Result {
 	lockMax := m.LockWaitMax
 	if m.DriverLockWaitMax > lockMax {
@@ -385,6 +368,11 @@ func toResult(m exp.Measurement) Result {
 		Inversions:          m.Inversions,
 		StaticBindingEvents: m.StaticBinding,
 		AvgUtilization:      m.AvgUtilization,
+		Steals:              m.Steals,
+		TurboReassigns:      m.TurboReassigns,
+		AccelsGranted:       m.AccelsGranted,
+		AccelsDenied:        m.AccelsDenied,
+		BudgetUtilization:   m.BudgetUtilization,
 		Open:                toOpenResult(m.Open),
 	}
 }
@@ -427,7 +415,7 @@ func toOpenResult(rep *opensys.Report) *OpenResult {
 func (cfg RunConfig) spec() (exp.RunSpec, error) {
 	spec := exp.RunSpec{
 		Workload:          cfg.Workload,
-		Policy:            cfg.Policy.internal(),
+		Policy:            cfg.Policy,
 		FastCores:         cfg.FastCores,
 		Cores:             cfg.Cores,
 		Seed:              cfg.Seed,

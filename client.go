@@ -12,56 +12,33 @@ import (
 	"net/url"
 	"strings"
 	"time"
+
+	"cata/internal/jobs"
 )
 
 // JobState is a catad job's lifecycle stage on the wire.
-type JobState string
+type JobState = jobs.State
 
 // The job lifecycle: JobQueued → JobRunning → one of the three terminal
 // states. Canceling a queued job moves it straight to JobCanceled.
 const (
 	// JobQueued: admitted to the daemon's FIFO queue, waiting for a worker.
-	JobQueued JobState = "queued"
+	JobQueued = jobs.Queued
 	// JobRunning: executing on one of the daemon's workers.
-	JobRunning JobState = "running"
+	JobRunning = jobs.Running
 	// JobSucceeded: finished without error.
-	JobSucceeded JobState = "succeeded"
+	JobSucceeded = jobs.Succeeded
 	// JobFailed: finished with an error other than cancellation.
-	JobFailed JobState = "failed"
+	JobFailed = jobs.Failed
 	// JobCanceled: canceled before or during execution.
-	JobCanceled JobState = "canceled"
+	JobCanceled = jobs.Canceled
 )
 
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool {
-	return s == JobSucceeded || s == JobFailed || s == JobCanceled
-}
-
 // JobStatus is a point-in-time snapshot of a catad job, returned by the
-// job endpoints and ServiceClient.
-type JobStatus struct {
-	// ID is the daemon-assigned job identifier.
-	ID string `json:"id"`
-	// Kind is "run" or "sweep".
-	Kind string `json:"kind"`
-	// Label summarizes the job's work for humans.
-	Label string `json:"label,omitempty"`
-	// State is the job's current lifecycle stage.
-	State JobState `json:"state"`
-	// Submitted is when the daemon admitted the job.
-	Submitted time.Time `json:"submitted"`
-	// Started is when a worker picked the job up (zero while queued).
-	Started time.Time `json:"started,omitzero"`
-	// Finished is when the job reached a terminal state.
-	Finished time.Time `json:"finished,omitzero"`
-	// Error is the failure or cancellation reason, if any.
-	Error string `json:"error,omitempty"`
-	// Events is the current length of the job's event log.
-	Events int `json:"events"`
-	// Result holds the job's outcomes once terminal. A canceled job
-	// carries the partial results gathered before the cancel.
-	Result *ServiceResult `json:"result,omitempty"`
-}
+// job endpoints and ServiceClient. Result holds the job's outcomes once
+// terminal; a canceled job carries the partial results gathered before
+// the cancel.
+type JobStatus = jobs.Status[*ServiceResult]
 
 // ServiceResult is a terminal job's payload: one outcome per submitted
 // configuration, in input order, plus summary counters.
@@ -88,44 +65,16 @@ type JobOutcome struct {
 	Result *Result `json:"result,omitempty"`
 }
 
-// JobProgress is a structured progress snapshot within a JobEvent.
-type JobProgress struct {
-	// Done counts finished runs (including cache hits); Total is the
-	// job's run count.
-	Done int `json:"done"`
-	// Total is the number of runs the job executes.
-	Total int `json:"total"`
-	// Cached counts runs served from the result cache so far.
-	Cached int `json:"cached,omitempty"`
-	// Failed counts runs that returned an error so far.
-	Failed int `json:"failed,omitempty"`
-	// Spec describes the run that just completed.
-	Spec string `json:"spec,omitempty"`
-	// ElapsedMS is that run's wall-clock time in milliseconds.
-	ElapsedMS int64 `json:"elapsed_ms,omitempty"`
-	// ETAMS estimates the job's remaining wall time in milliseconds.
-	ETAMS int64 `json:"eta_ms,omitempty"`
-	// Note carries the engine's annotation (e.g. the live best EDP).
-	Note string `json:"note,omitempty"`
-}
+// JobProgress is a structured progress snapshot within a JobEvent:
+// runs done of the total, cache hits and failures so far, the run that
+// just completed with its wall time, an ETA in milliseconds, and the
+// engine's annotation.
+type JobProgress = jobs.Progress
 
 // JobEvent is one entry of a job's ordered event log, as streamed by
 // GET /v1/jobs/{id}/events (SSE): a state transition or a progress
 // update.
-type JobEvent struct {
-	// Seq is the event's position in the job's log, starting at 0.
-	Seq int `json:"seq"`
-	// Time is when the daemon recorded the event.
-	Time time.Time `json:"time"`
-	// Type is "state" or "progress".
-	Type string `json:"type"`
-	// State is the state entered, for "state" events.
-	State JobState `json:"state,omitempty"`
-	// Error carries the failure or cancellation reason, if any.
-	Error string `json:"error,omitempty"`
-	// Progress carries the snapshot, for "progress" events.
-	Progress *JobProgress `json:"progress,omitempty"`
-}
+type JobEvent = jobs.Event
 
 // ServiceHealth is the payload of catad's GET /healthz.
 type ServiceHealth struct {

@@ -101,6 +101,6 @@ func TableI() string {
 	fmt.Fprintf(&b, "  Uncore power            %.2f W/core\n", cfg.Power.UncoreWattsPerCore)
 	fmt.Fprintf(&b, "  Micro-architectural parameters of Table I (OoO pipeline, caches,\n")
 	fmt.Fprintf(&b, "  NoC) are folded into per-task cycle/memory-time distributions;\n")
-	fmt.Fprintf(&b, "  see DESIGN.md section 2.\n")
+	fmt.Fprintf(&b, "  see ARCHITECTURE.md, \"Data flow of one run\", step 2.\n")
 	return b.String()
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -18,49 +17,55 @@ import (
 )
 
 // RunSpec identifies one simulation: a workload under a policy with a
-// fast-core budget on a machine.
+// fast-core budget on a machine. Its JSON form — the batch cache key
+// and the spec echoed in cached measurements — carries the portable
+// fields only: the in-memory Program and the Trace/Timeline writers
+// cannot round-trip through a result cache, and specs carrying them
+// are never cached (see cacheKey).
 type RunSpec struct {
 	// Workload is a workload spec resolved against the registry in
 	// internal/workloads: a bare name ("dedup") or a parameterized spec
 	// ("layered:seed=7,width=16,depth=32"). Ignored when Program is set.
-	Workload string
+	Workload string `json:"workload,omitempty"`
 	// Program, when non-nil, is run directly instead of a named workload
 	// (the public API's custom-workload path).
-	Program *program.Program
+	Program *program.Program `json:"-"`
 	// Policy is the system configuration.
-	Policy Policy
+	Policy Policy `json:"policy"`
 	// FastCores is the power budget: the number of statically fast cores
 	// (FIFO/CATS) or the maximum simultaneously accelerated cores
 	// (CATA/RSU/TurboMode). The paper sweeps 8, 16, 24 on 32 cores.
-	FastCores int
+	FastCores int `json:"fast_cores"`
 	// Cores is the machine size (default 32).
-	Cores int
+	Cores int `json:"cores"`
 	// Seed drives all workload randomness (default 42).
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Scale in (0,1] shrinks workload task counts (default 1.0).
-	Scale float64
+	Scale float64 `json:"scale"`
 	// MaxSimTime aborts runaway simulations (default 20 s simulated).
-	MaxSimTime sim.Time
+	MaxSimTime sim.Time `json:"max_sim_time"`
 	// TransitionLatency overrides the DVFS transition latency (0 keeps
 	// the Table I 25 µs). Used by the latency-sensitivity ablation.
-	TransitionLatency sim.Time
+	TransitionLatency sim.Time `json:"transition_latency,omitempty"`
 	// Arrivals, when non-empty, switches the run to open-system traffic
 	// mode: the workload becomes a per-job DAG template instantiated by
 	// the arrival process the spec describes (see internal/opensys for
 	// the grammar, e.g. "poisson:lambda=2000,jobs=40,deadline=5ms").
 	// The harvested Measurement carries the response-time Report in
-	// Open; Makespan is the time the last job drained.
-	Arrivals string
+	// Open; Makespan is the time the last job drained. Omitted when
+	// empty, so closed-system specs keep the cache keys they had before
+	// open-system mode existed.
+	Arrivals string `json:"arrivals,omitempty"`
 	// Trace, when non-nil, receives the run's full flight recording as a
 	// Chrome/Perfetto trace JSON document: task spans, per-core frequency
 	// and power-vs-budget counter tracks, reconfiguration instants and
 	// dependence flow arrows. Requesting a trace attaches the probe
 	// recorder; results are bit-identical with and without it.
-	Trace io.Writer
+	Trace io.Writer `json:"-"`
 	// Timeline, when non-nil, receives a per-core ASCII Gantt chart.
-	Timeline io.Writer
+	Timeline io.Writer `json:"-"`
 	// TimelineWidth is the ASCII chart width in columns (default 100).
-	TimelineWidth int
+	TimelineWidth int `json:"-"`
 }
 
 // withDefaults fills zero fields.
@@ -90,59 +95,6 @@ func (s RunSpec) String() string {
 		return fmt.Sprintf("%s/%v/fast=%d/%s", s.Workload, s.Policy, s.FastCores, s.Arrivals)
 	}
 	return fmt.Sprintf("%s/%v/fast=%d", s.Workload, s.Policy, s.FastCores)
-}
-
-// runSpecJSON is the JSON-portable subset of RunSpec: everything except
-// the in-memory Program and the Trace/Timeline writers, which cannot
-// round-trip through a result cache. Specs carrying those fields are
-// never cached (see cacheKey).
-type runSpecJSON struct {
-	Workload          string   `json:"workload,omitempty"`
-	Policy            Policy   `json:"policy"`
-	FastCores         int      `json:"fast_cores"`
-	Cores             int      `json:"cores"`
-	Seed              uint64   `json:"seed"`
-	Scale             float64  `json:"scale"`
-	MaxSimTime        sim.Time `json:"max_sim_time"`
-	TransitionLatency sim.Time `json:"transition_latency,omitempty"`
-	// Arrivals is omitempty so closed-system specs keep the cache keys
-	// they had before open-system mode existed.
-	Arrivals string `json:"arrivals,omitempty"`
-}
-
-// MarshalJSON encodes the portable fields of the spec.
-func (s RunSpec) MarshalJSON() ([]byte, error) {
-	return json.Marshal(runSpecJSON{
-		Workload:          s.Workload,
-		Policy:            s.Policy,
-		FastCores:         s.FastCores,
-		Cores:             s.Cores,
-		Seed:              s.Seed,
-		Scale:             s.Scale,
-		MaxSimTime:        s.MaxSimTime,
-		TransitionLatency: s.TransitionLatency,
-		Arrivals:          s.Arrivals,
-	})
-}
-
-// UnmarshalJSON decodes the portable fields of the spec.
-func (s *RunSpec) UnmarshalJSON(b []byte) error {
-	var j runSpecJSON
-	if err := json.Unmarshal(b, &j); err != nil {
-		return err
-	}
-	*s = RunSpec{
-		Workload:          j.Workload,
-		Policy:            j.Policy,
-		FastCores:         j.FastCores,
-		Cores:             j.Cores,
-		Seed:              j.Seed,
-		Scale:             j.Scale,
-		MaxSimTime:        j.MaxSimTime,
-		TransitionLatency: j.TransitionLatency,
-		Arrivals:          j.Arrivals,
-	}
-	return nil
 }
 
 // Measurement is the harvested result of one run.
@@ -367,7 +319,7 @@ func measurements(rs []RunResult) ([]Measurement, error) {
 		if r.Err != nil {
 			return nil, r.Err
 		}
-		ms[i] = r.Measurement
+		ms[i] = r.Value
 	}
 	return ms, nil
 }

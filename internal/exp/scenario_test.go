@@ -36,9 +36,9 @@ func TestSyntheticMeasurementParallelismInvariant(t *testing.T) {
 		if seq[i].Err != nil || par[i].Err != nil {
 			t.Fatalf("spec %d failed: %v / %v", i, seq[i].Err, par[i].Err)
 		}
-		if !reflect.DeepEqual(seq[i].Measurement, par[i].Measurement) {
+		if !reflect.DeepEqual(seq[i].Value, par[i].Value) {
 			t.Fatalf("spec %d: -j 1 and -j 8 measurements differ:\n%+v\n%+v",
-				i, seq[i].Measurement, par[i].Measurement)
+				i, seq[i].Value, par[i].Value)
 		}
 	}
 }

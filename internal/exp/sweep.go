@@ -38,16 +38,10 @@ type SweepOptions struct {
 	Observe func(batch.Event)
 }
 
-// RunResult is the outcome of one spec in a sweep: a measurement or the
-// spec's own error. Failing specs never abort the sweep.
-type RunResult struct {
-	Spec        RunSpec
-	Measurement Measurement
-	Err         error
-	// Cached reports that the measurement was served from the result
-	// cache without re-simulating.
-	Cached bool
-}
+// RunResult is the outcome of one spec in a sweep: the measurement in
+// Value, or the spec's own error in Err. Failing specs never abort the
+// sweep.
+type RunResult = batch.Result[RunSpec, Measurement]
 
 // Sweep executes specs through the batch engine and returns one result
 // per spec, in spec order — identical to running them sequentially.
@@ -70,7 +64,7 @@ func Sweep(ctx context.Context, specs []RunSpec, opts SweepOptions) ([]RunResult
 	// needs no lock and covers resumed results too.
 	bestEDP := math.Inf(1)
 	bestSpec := ""
-	note := func(r batch.Result[RunSpec, Measurement]) string {
+	note := func(r RunResult) string {
 		if r.Err == nil && r.Value.EDP > 0 && r.Value.EDP < bestEDP {
 			bestEDP = r.Value.EDP
 			bestSpec = r.Spec.String()
@@ -81,7 +75,7 @@ func Sweep(ctx context.Context, specs []RunSpec, opts SweepOptions) ([]RunResult
 		return fmt.Sprintf("best EDP %.4g Js (%s)", bestEDP, bestSpec)
 	}
 
-	rs, err := batch.Run(ctx, specs,
+	return batch.Run(ctx, specs,
 		func(_ context.Context, s RunSpec) (Measurement, error) { return Run(s) },
 		batch.Options[RunSpec, Measurement]{
 			Parallelism: opts.Parallelism,
@@ -92,11 +86,6 @@ func Sweep(ctx context.Context, specs []RunSpec, opts SweepOptions) ([]RunResult
 			Observe:     opts.Observe,
 			Note:        note,
 		})
-	out := make([]RunResult, len(rs))
-	for i, r := range rs {
-		out[i] = RunResult{Spec: r.Spec, Measurement: r.Value, Err: r.Err, Cached: r.Cached}
-	}
-	return out, err
 }
 
 // cacheKey hashes the defaulted spec so that e.g. Cores 0 and Cores 32

@@ -46,7 +46,7 @@ func TestSweepMatchesSequential(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("sweep %v: %v", r.Spec, r.Err)
 		}
-		got, _ := json.Marshal(r.Measurement)
+		got, _ := json.Marshal(r.Value)
 		seq, _ := json.Marshal(want[i])
 		if !bytes.Equal(got, seq) {
 			t.Errorf("spec %v:\nsweep      %s\nsequential %s", r.Spec, got, seq)
@@ -71,7 +71,7 @@ func TestSweepErrorIsolation(t *testing.T) {
 	if rs[0].Err != nil || rs[2].Err != nil {
 		t.Fatalf("healthy specs failed: %v, %v", rs[0].Err, rs[2].Err)
 	}
-	if rs[0].Measurement.TasksRun == 0 || rs[2].Measurement.TasksRun == 0 {
+	if rs[0].Value.TasksRun == 0 || rs[2].Value.TasksRun == 0 {
 		t.Fatal("healthy specs returned empty measurements")
 	}
 }
@@ -127,7 +127,7 @@ func TestSweepResumeAfterCancel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := json.Marshal(r.Measurement)
+		got, _ := json.Marshal(r.Value)
 		want, _ := json.Marshal(seq)
 		if !bytes.Equal(got, want) {
 			t.Errorf("spec %v after resume:\ngot  %s\nwant %s", r.Spec, got, want)

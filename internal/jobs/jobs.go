@@ -90,8 +90,11 @@ const (
 )
 
 // Status is a point-in-time snapshot of a job, the payload of the
-// daemon's job endpoints.
-type Status struct {
+// daemon's job endpoints. R is the result payload's type: the manager
+// holds results as encoded JSON and snapshots as Status[json.RawMessage],
+// which the daemon writes as is; clients decode the same bytes into
+// their typed result.
+type Status[R any] struct {
 	// ID is the job's manager-assigned identifier.
 	ID string `json:"id"`
 	// Kind is the submitter's job class ("run", "sweep").
@@ -113,7 +116,7 @@ type Status struct {
 	// Result is the job's result payload, present once terminal (a
 	// canceled job may carry the partial results gathered before the
 	// cancel).
-	Result json.RawMessage `json:"result,omitempty"`
+	Result R `json:"result,omitempty"`
 }
 
 // Fn executes a job's work. It must honor ctx — cancellation via
@@ -168,10 +171,10 @@ func (j *Job) isTerminal() bool {
 }
 
 // Status snapshots the job.
-func (j *Job) Status() Status {
+func (j *Job) Status() Status[json.RawMessage] {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return Status{
+	return Status[json.RawMessage]{
 		ID: j.id, Kind: j.kind, Label: j.label,
 		State:     j.state,
 		Submitted: j.submitted, Started: j.started, Finished: j.finished,

@@ -10,7 +10,7 @@ import (
 )
 
 // waitState polls until the job reaches want or the timeout hits.
-func waitState(t *testing.T, j *Job, want State) Status {
+func waitState(t *testing.T, j *Job, want State) Status[json.RawMessage] {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -303,7 +303,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, label stri
 	s.cfg.Logger.Info("job admitted",
 		"req_id", reqID, "job_id", j.ID(), "kind", kind, "label", label)
 	go s.watchJob(j, reqID)
-	writeJSON(w, http.StatusAccepted, wireStatus(j.Status()))
+	writeJSON(w, http.StatusAccepted, j.Status())
 }
 
 // watchJob follows a job's event log and logs every state transition
@@ -328,11 +328,14 @@ func (s *Server) watchJob(j *jobs.Job, reqID string) {
 // batchFn builds the job body: run the configs through the public batch
 // engine against the shared cache, streaming progress into the job's
 // event log and recording a ServiceResult payload (also on
-// cancellation, so partial results stay observable). A config asking
-// for a trace gets a capture buffer attached — the wire field is a
-// bool, the engine wants a writer — and the recording is retained with
-// the job as its "trace" artifact. One trace per job: the first
-// requesting config wins (sweeps wanting more should submit runs).
+// cancellation or failure, so partial results stay observable). A job
+// whose every config failed ends failed, naming the first failure; one
+// with at least one success succeeds, with Failed counting the rest. A
+// config asking for a trace gets a capture buffer attached — the wire
+// field is a bool, the engine wants a writer — and the recording is
+// retained with the job as its "trace" artifact. One trace per job:
+// the first requesting config wins (sweeps wanting more should submit
+// runs).
 func (s *Server) batchFn(cfgs []cata.RunConfig) jobs.Fn {
 	var traceBuf *bytes.Buffer
 	for i := range cfgs {
@@ -380,20 +383,21 @@ func (s *Server) batchFn(cfgs []cata.RunConfig) jobs.Fn {
 		if mErr != nil {
 			return nil, mErr
 		}
+		if err == nil && len(rs) > 0 && payload.Failed == len(rs) {
+			err = fmt.Errorf("all %d run(s) failed; first: %s", len(rs), payload.Results[0].Error)
+		}
 		return raw, err
 	}
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	js := s.mgr.Jobs()
-	out := make([]cata.JobStatus, len(js))
+	out := make([]jobs.Status[json.RawMessage], len(js))
 	for i, j := range js {
-		// The listing stays light: drop the result payload before the
-		// wire conversion so it is never decoded. Fetch one job for
-		// its results.
-		st := j.Status()
-		st.Result = nil
-		out[i] = wireStatus(st)
+		// The listing stays light: no result payloads. Fetch one job
+		// for its results.
+		out[i] = j.Status()
+		out[i].Result = nil
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -404,7 +408,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, wireStatus(j.Status()))
+	writeJSON(w, http.StatusOK, j.Status())
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
@@ -415,7 +419,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cfg.Logger.Info("job cancel requested",
 		"req_id", requestID(r.Context()), "job_id", j.ID())
-	writeJSON(w, http.StatusAccepted, wireStatus(j.Status()))
+	writeJSON(w, http.StatusAccepted, j.Status())
 }
 
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
@@ -435,7 +439,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 	for e := range j.Events(r.Context()) {
-		data, err := json.Marshal(wireEvent(e))
+		data, err := json.Marshal(e)
 		if err != nil {
 			return
 		}
@@ -462,38 +466,4 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(data)
-}
-
-// wireEvent converts a job event to the public wire form.
-func wireEvent(e jobs.Event) cata.JobEvent {
-	out := cata.JobEvent{
-		Seq: e.Seq, Time: e.Time, Type: e.Type,
-		State: cata.JobState(e.State), Error: e.Error,
-	}
-	if e.Progress != nil {
-		p := *e.Progress
-		out.Progress = &cata.JobProgress{
-			Done: p.Done, Total: p.Total, Cached: p.Cached, Failed: p.Failed,
-			Spec: p.Spec, ElapsedMS: p.ElapsedMS, ETAMS: p.ETAMS, Note: p.Note,
-		}
-	}
-	return out
-}
-
-// wireStatus converts a job snapshot to the public wire form, decoding
-// the result payload when present.
-func wireStatus(st jobs.Status) cata.JobStatus {
-	out := cata.JobStatus{
-		ID: st.ID, Kind: st.Kind, Label: st.Label,
-		State:     cata.JobState(st.State),
-		Submitted: st.Submitted, Started: st.Started, Finished: st.Finished,
-		Error: st.Error, Events: st.Events,
-	}
-	if len(st.Result) > 0 {
-		var res cata.ServiceResult
-		if err := json.Unmarshal(st.Result, &res); err == nil {
-			out.Result = &res
-		}
-	}
-	return out
 }

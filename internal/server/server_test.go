@@ -298,23 +298,51 @@ func TestStateParity(t *testing.T) {
 	}
 }
 
-// TestFailedRunReported: a run that fails at build time lands the job
-// in failed with the cause preserved (admission resolves specs but
-// reads no files, so a missing trace file only fails at build time).
+// TestFailedRunReported: a job whose every config fails ends failed,
+// its error naming the first failure, while a sweep with at least one
+// success stays succeeded and counts its failures. Either way the
+// per-run outcomes carry the causes. (Admission resolves specs but
+// reads no files, so a missing trace file only fails at build time.)
 func TestFailedRunReported(t *testing.T) {
 	_, c := newTestService(t, server.Config{Workers: 1, QueueDepth: 4})
 	ctx := context.Background()
-	missing := filepath.Join(t.TempDir(), "missing.json")
-	st, err := c.SubmitRun(ctx, cata.RunConfig{Workload: "trace:file=" + missing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitTerminal(t, c, st.ID)
-	if final.State != cata.JobSucceeded {
-		t.Fatalf("job state = %s (per-run failures must not fail the job)", final.State)
-	}
-	if final.Result == nil || final.Result.Failed != 1 || final.Result.Results[0].Error == "" {
-		t.Fatalf("result = %+v, want one failed outcome", final.Result)
+	missing := "trace:file=" + filepath.Join(t.TempDir(), "missing.json")
+	for _, tc := range []struct {
+		name       string
+		submit     func() (cata.JobStatus, error)
+		wantState  cata.JobState
+		wantFailed int
+	}{
+		{"lone failed run", func() (cata.JobStatus, error) {
+			return c.SubmitRun(ctx, cata.RunConfig{Workload: missing})
+		}, cata.JobFailed, 1},
+		{"mixed sweep", func() (cata.JobStatus, error) {
+			return c.SubmitSweep(ctx, cata.MatrixConfig{
+				Workloads: []string{missing, "swaptions"}, FastCores: []int{2},
+				Cores: 4, Seeds: []uint64{1}, Scale: 0.05,
+			})
+		}, cata.JobSucceeded, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := tc.submit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitTerminal(t, c, st.ID)
+			if final.State != tc.wantState {
+				t.Fatalf("job state = %s (error %q), want %s", final.State, final.Error, tc.wantState)
+			}
+			r := final.Result
+			if r == nil || r.Failed != tc.wantFailed || r.Results[0].Error == "" {
+				t.Fatalf("result = %+v, want %d failed outcome(s), the first with its cause", r, tc.wantFailed)
+			}
+			if tc.wantState == cata.JobFailed && !strings.Contains(final.Error, r.Results[0].Error) {
+				t.Fatalf("job error %q does not name the first failure %q", final.Error, r.Results[0].Error)
+			}
+			if tc.wantState == cata.JobSucceeded && final.Error != "" {
+				t.Fatalf("succeeded job carries error %q", final.Error)
+			}
+		})
 	}
 }
 

@@ -94,12 +94,8 @@ func RunMatrix(cfg MatrixConfig) (*Matrix, error) {
 // is returned together with the error — don't throw the results away
 // just because the cache is stale.
 func RunMatrixContext(ctx context.Context, cfg MatrixConfig) (*Matrix, error) {
-	policies := make([]exp.Policy, len(cfg.Policies))
-	for i, p := range cfg.Policies {
-		policies[i] = p.internal()
-	}
 	inner, err := exp.RunMatrixSweep(ctx, exp.MatrixSpec{
-		Policies:  policies,
+		Policies:  cfg.Policies,
 		FastCores: cfg.FastCores,
 		Workloads: cfg.Workloads,
 		Cores:     cfg.Cores,
@@ -114,22 +110,22 @@ func RunMatrixContext(ctx context.Context, cfg MatrixConfig) (*Matrix, error) {
 
 // Speedup returns T_FIFO / T_policy for one cell (seed-averaged).
 func (m *Matrix) Speedup(workload string, p Policy, fastCores int) float64 {
-	return m.inner.Speedup(workload, p.internal(), fastCores)
+	return m.inner.Speedup(workload, p, fastCores)
 }
 
 // NormEDP returns EDP_policy / EDP_FIFO for one cell; below 1 is better.
 func (m *Matrix) NormEDP(workload string, p Policy, fastCores int) float64 {
-	return m.inner.NormEDP(workload, p.internal(), fastCores)
+	return m.inner.NormEDP(workload, p, fastCores)
 }
 
 // AvgSpeedup returns the geometric-mean speedup across all workloads.
 func (m *Matrix) AvgSpeedup(p Policy, fastCores int) float64 {
-	return m.inner.AvgSpeedup(p.internal(), fastCores)
+	return m.inner.AvgSpeedup(p, fastCores)
 }
 
 // AvgNormEDP returns the geometric-mean normalized EDP across workloads.
 func (m *Matrix) AvgNormEDP(p Policy, fastCores int) float64 {
-	return m.inner.AvgNormEDP(p.internal(), fastCores)
+	return m.inner.AvgNormEDP(p, fastCores)
 }
 
 // SpeedupTable renders the speedup table in the layout of the paper's
@@ -144,34 +140,16 @@ func (m *Matrix) WriteCSV(w io.Writer) error { return m.inner.WriteCSV(w) }
 func (m *Matrix) EDPTable() string { return m.inner.Table("edp") }
 
 // Claim is one of the paper's quantitative statements checked against
-// this matrix (see EXPERIMENTS.md).
-type Claim struct {
-	ID        string
-	Statement string
-	Paper     string
-	Measured  string
-	Holds     bool
-}
+// a matrix: its ID, the statement, the paper's number(s), what this
+// run measured, and whether the claim holds.
+type Claim = exp.Claim
 
 // Claims evaluates the paper's headline §V claims against the matrix.
 // The matrix must include all six policies.
-func (m *Matrix) Claims() []Claim {
-	inner := exp.Claims(m.inner)
-	out := make([]Claim, len(inner))
-	for i, c := range inner {
-		out[i] = Claim{c.ID, c.Statement, c.Paper, c.Measured, c.Holds}
-	}
-	return out
-}
+func (m *Matrix) Claims() []Claim { return exp.Claims(m.inner) }
 
 // ClaimsTable renders claim-check results.
-func ClaimsTable(cs []Claim) string {
-	inner := make([]exp.Claim, len(cs))
-	for i, c := range cs {
-		inner[i] = exp.Claim{ID: c.ID, Statement: c.Statement, Paper: c.Paper, Measured: c.Measured, Holds: c.Holds}
-	}
-	return exp.ClaimsTable(inner)
-}
+func ClaimsTable(cs []Claim) string { return exp.ClaimsTable(cs) }
 
 // VCAnalysisTable runs software CATA on every benchmark and renders the
 // §V-C reconfiguration-cost analysis (latencies, worst-case lock waits,
