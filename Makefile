@@ -9,7 +9,7 @@ GO ?= go
 # BENCH_PROFILES, when set, is a directory that receives per-stage pprof
 # CPU and heap profiles alongside the capture (CI uploads it).
 BENCH_OUT ?= /tmp/cata-bench/BENCH_check.json
-BENCH_BASE ?= BENCH_1.json
+BENCH_BASE ?= BENCH_2.json
 BENCH_TOL ?= 0.15
 BENCH_GATE ?= all
 BENCH_PROFILES ?=
@@ -134,6 +134,6 @@ docs-check:
 # tool installs (lint degrades gracefully when staticcheck/govulncheck
 # are absent). Short fuzz budget and the portable bench gate keep it
 # runnable on any hardware.
-ci: fmt-check build lint test smoke catad-smoke policies-smoke cover-check docs-check
+ci: fmt-check build lint test smoke catad-smoke policies-smoke opensys-smoke cover-check docs-check
 	$(MAKE) fuzz-smoke FUZZTIME=10s
 	$(MAKE) bench-check BENCH_GATE=portable

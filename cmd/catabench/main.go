@@ -12,7 +12,7 @@
 //
 // Compare a capture against a baseline (exit 1 on regression):
 //
-//	catabench -compare BENCH_1.json -against /tmp/bench.json [-tol 0.15]
+//	catabench -compare BENCH_2.json -against /tmp/bench.json [-tol 0.15]
 //
 // Capture with pprof evidence (one CPU and/or heap profile per suite
 // stage, paths recorded in the capture's profiles metadata — CI uploads
@@ -21,10 +21,11 @@
 //	catabench -out /tmp/bench.json -cpuprofile /tmp/prof -memprofile /tmp/prof
 //
 // The suite runs the bench_test.go figure matrices, the six paper
-// workloads under CATA, event-engine and TDG microbenchmarks, and
-// per-policy makespan checksums, all at fixed seeds. ns/op and allocs/op
-// are gated with the relative tolerance; checksum mismatches always fail
-// (they mean simulation behavior changed, not just speed).
+// workloads under CATA, an open-system soak, event-engine and TDG
+// microbenchmarks, and per-policy makespan checksums, all at fixed
+// seeds. ns/op and allocs/op are gated with the relative tolerance;
+// checksum mismatches always fail (they mean simulation behavior
+// changed, not just speed).
 package main
 
 import (

@@ -70,21 +70,65 @@ type Framework struct {
 
 	hkArmed      bool
 	hkLastWrites int64
+	hkGrantedCb  func() // housekeeping took the lock: hold it
+	hkHeldCb     func() // hold elapsed: release, maybe re-arm
+	housekeepCb  func()
+
+	// ops holds one in-flight write per calling core, with its stage
+	// continuations built once at construction.
+	ops []writeOp
 
 	// rec, when non-nil, receives one WriteEvent per completed policy
 	// write, carrying the lock-wait share of the total latency.
 	rec probe.Recorder
 }
 
+// writeOp is one core's policy write in flight. Its stages are method
+// values allocated once, so a write schedules its events without
+// allocating.
+type writeOp struct {
+	f      *Framework
+	caller int
+	core   *machine.Core
+	busy   bool
+
+	target    int
+	level     energy.Level
+	done      func()
+	start     sim.Time
+	lockStart sim.Time
+	lockWait  sim.Time
+
+	enteredCb  func() // kernel entered: take the driver lock
+	grantedCb  func() // lock granted: run the driver
+	drivenCb   func() // driver done: kick DVFS, unlock, return
+	returnedCb func() // back in user space: account and finish
+}
+
 // New returns a framework bound to the machine.
 func New(eng *sim.Engine, mach *machine.Machine, costs Costs) *Framework {
-	return &Framework{
+	f := &Framework{
 		eng:       eng,
 		mach:      mach,
 		costs:     costs,
 		lock:      NewLock(eng),
 		perCaller: make([]stats.DurationSummary, mach.Cores()),
+		ops:       make([]writeOp, mach.Cores()),
 	}
+	f.hkGrantedCb = f.housekeepGranted
+	f.hkHeldCb = f.housekeepHeld
+	f.housekeepCb = f.housekeep
+	for i := range f.ops {
+		op := &f.ops[i]
+		op.f = f
+		op.caller = i
+		op.core = mach.Core(i)
+		op.enteredCb = op.entered
+		op.grantedCb = op.granted
+		op.drivenCb = op.driven
+		op.returnedCb = op.returned
+	}
+	return f
 }
 
 // SetRecorder attaches a flight recorder reporting completed writes.
@@ -98,23 +142,23 @@ func (f *Framework) armHousekeeping() {
 		return
 	}
 	f.hkArmed = true
-	f.eng.After(f.costs.HousekeepPeriod/3, f.housekeep)
+	f.eng.After(f.costs.HousekeepPeriod/3, f.housekeepCb)
 }
 
 // housekeep models the periodic kernel path that holds the policy lock
 // (it runs on a kernel thread, not on a simulated core).
-func (f *Framework) housekeep() {
-	f.lock.Acquire(func() {
-		f.eng.After(f.costs.HousekeepHold, func() {
-			f.lock.Release()
-			if f.writes == f.hkLastWrites {
-				f.hkArmed = false // quiesce until the next write
-				return
-			}
-			f.hkLastWrites = f.writes
-			f.eng.After(f.costs.HousekeepPeriod-f.costs.HousekeepHold, f.housekeep)
-		})
-	})
+func (f *Framework) housekeep() { f.lock.Acquire(f.hkGrantedCb) }
+
+func (f *Framework) housekeepGranted() { f.eng.After(f.costs.HousekeepHold, f.hkHeldCb) }
+
+func (f *Framework) housekeepHeld() {
+	f.lock.Release()
+	if f.writes == f.hkLastWrites {
+		f.hkArmed = false // quiesce until the next write
+		return
+	}
+	f.hkLastWrites = f.writes
+	f.eng.After(f.costs.HousekeepPeriod-f.costs.HousekeepHold, f.housekeepCb)
 }
 
 // Write performs one policy-file write: set core `target` to `level`,
@@ -123,43 +167,60 @@ func (f *Framework) housekeep() {
 // the driver completes asynchronously (TransitionLatency later).
 //
 // The caller's core must be in its Busy state (the runtime performs
-// writes from the worker's dispatch/completion path).
+// writes from the worker's dispatch/completion path), and a core issues
+// one write at a time: a second Write from a caller whose previous write
+// has not returned panics. done may issue the caller's next write.
 func (f *Framework) Write(caller, target int, level energy.Level, done func()) {
 	if caller < 0 || caller >= f.mach.Cores() || target < 0 || target >= f.mach.Cores() {
 		panic(fmt.Sprintf("cpufreq: write caller=%d target=%d out of range", caller, target))
 	}
-	start := f.eng.Now()
+	op := &f.ops[caller]
+	if op.busy {
+		panic(fmt.Sprintf("cpufreq: write from core %d while its previous write is in flight", caller))
+	}
+	op.busy = true
+	op.target, op.level, op.done = target, level, done
+	op.start = f.eng.Now()
 	f.writes++
 	f.armHousekeeping()
-	core := f.mach.Core(caller)
 	// 1. User→kernel: file write, interrupt, kernel entry.
-	core.Exec(f.costs.UserKernelCycles, 0, func() {
-		// 2. The driver runs under the global cpufreq lock. The core
-		// blocks (stays busy / C0-active) until granted. lockStart and
-		// lockWait are assigned once before the closures that read them
-		// are created, so they are captured by value — recording adds no
-		// allocation to the write path.
-		lockStart := f.eng.Now()
-		f.lock.Acquire(func() {
-			lockWait := f.eng.Now() - lockStart
-			// 3. Driver computation + device register programming.
-			core.Exec(f.costs.DriverCycles, f.costs.DriverFixed, func() {
-				// 4. Kick the hardware transition.
-				f.mach.DVFS.Request(target, level)
-				f.lock.Release()
-				// 5. Return to user space.
-				core.Exec(f.costs.ReturnCycles, 0, func() {
-					lat := f.eng.Now() - start
-					f.writeLat.ObserveTime(lat)
-					f.perCaller[caller].ObserveTime(lat)
-					if f.rec != nil {
-						f.rec.CpufreqWrite(f.eng.Now(), caller, target, int(level), lockWait, lat)
-					}
-					done()
-				})
-			})
-		})
-	})
+	op.core.Exec(f.costs.UserKernelCycles, 0, op.enteredCb)
+}
+
+// entered: 2. The driver runs under the global cpufreq lock. The core
+// blocks (stays busy / C0-active) until granted.
+func (op *writeOp) entered() {
+	op.lockStart = op.f.eng.Now()
+	op.f.lock.Acquire(op.grantedCb)
+}
+
+// granted: 3. Driver computation + device register programming.
+func (op *writeOp) granted() {
+	f := op.f
+	op.lockWait = f.eng.Now() - op.lockStart
+	op.core.Exec(f.costs.DriverCycles, f.costs.DriverFixed, op.drivenCb)
+}
+
+// driven: 4. Kick the hardware transition, then 5. return to user space.
+func (op *writeOp) driven() {
+	f := op.f
+	f.mach.DVFS.Request(op.target, op.level)
+	f.lock.Release()
+	op.core.Exec(f.costs.ReturnCycles, 0, op.returnedCb)
+}
+
+func (op *writeOp) returned() {
+	f := op.f
+	lat := f.eng.Now() - op.start
+	f.writeLat.ObserveTime(lat)
+	f.perCaller[op.caller].ObserveTime(lat)
+	if f.rec != nil {
+		f.rec.CpufreqWrite(f.eng.Now(), op.caller, op.target, int(op.level), op.lockWait, lat)
+	}
+	done := op.done
+	op.done = nil
+	op.busy = false
+	done()
 }
 
 // Writes returns the number of policy writes performed.

@@ -193,3 +193,41 @@ func TestCallerLatencyAttribution(t *testing.T) {
 		t.Fatal("single-writer caller latency must equal global latency")
 	}
 }
+
+// TestWriteZeroAllocs pins the write path's preallocated continuations:
+// in steady state a policy write — kernel entry, driver lock, DVFS
+// request, the transition landing, return, and the periodic
+// housekeeping it arms — allocates nothing.
+func TestWriteZeroAllocs(t *testing.T) {
+	eng, m, f := newRig(t)
+	level := energy.Fast
+	done := func() {}
+	write := func() { f.Write(0, 2, level, done) }
+	allocs := testing.AllocsPerRun(100, func() {
+		m.Core(0).Exec(0, 0, write)
+		eng.Run()
+		if m.DVFS.Actual(2) != level {
+			t.Fatalf("write to %v never landed", level)
+		}
+		if level == energy.Fast {
+			level = energy.Slow
+		} else {
+			level = energy.Fast
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Write allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestOverlappingWritesPanic: a core issues one write at a time.
+func TestOverlappingWritesPanic(t *testing.T) {
+	_, _, f := newRig(t)
+	f.Write(0, 1, energy.Fast, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second write from a core with a write in flight did not panic")
+		}
+	}()
+	f.Write(0, 2, energy.Fast, func() {})
+}

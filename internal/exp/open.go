@@ -26,28 +26,40 @@ func ValidateArrivals(spec string) error {
 // runOpen executes one open-system traffic run. spec has defaults
 // applied.
 func runOpen(spec RunSpec) (Measurement, error) {
+	holder, err := openHolder(spec)
+	if err != nil {
+		return Measurement{}, err
+	}
+	return runWith(spec, holder)
+}
+
+// openHolder derives the arrival schedule and wires the runtime's
+// open-system configuration: the collector callbacks and the injection
+// of every arrival.
+func openHolder(spec RunSpec) (programHolder, error) {
 	proc, err := opensys.Parse(spec.Arrivals)
 	if err != nil {
-		return Measurement{}, fmt.Errorf("%v: %w", spec, err)
+		return programHolder{}, fmt.Errorf("%v: %w", spec, err)
 	}
 	schedule := proc.Schedule(spec.Seed)
 
-	// Per-job DAG templates: a custom Program is shared across jobs
-	// (the runtime isolates their dependences), while registry workloads
-	// are instantiated once per job with an independent seed stream so
-	// the stream carries DAG-level variation too.
-	progs := make([]*program.Program, proc.Jobs)
-	if spec.Program != nil {
-		for i := range progs {
-			progs[i] = spec.Program
+	// Each job's DAG is built when the job is admitted, so a shed
+	// arrival builds nothing and a finished job's program is garbage. A
+	// custom Program is shared across jobs (the runtime isolates their
+	// dependences), while a registry workload, resolved once here, is
+	// instantiated per job with an independent seed stream so the stream
+	// carries DAG-level variation too.
+	shared := func() (*program.Program, error) { return spec.Program, nil }
+	build := func(int) func() (*program.Program, error) { return shared }
+	if spec.Program == nil {
+		workload, err := workloads.Builder(spec.Workload)
+		if err != nil {
+			return programHolder{}, fmt.Errorf("%v: %w", spec, err)
 		}
-	} else {
-		for i := range progs {
-			p, err := workloads.Build(spec.Workload, opensys.JobSeed(spec.Seed, i), spec.Scale)
-			if err != nil {
-				return Measurement{}, fmt.Errorf("%v: job %d: %w", spec, i, err)
+		build = func(i int) func() (*program.Program, error) {
+			return func() (*program.Program, error) {
+				return workload(opensys.JobSeed(spec.Seed, i), spec.Scale)
 			}
-			progs[i] = p
 		}
 	}
 
@@ -56,7 +68,7 @@ func runOpen(spec RunSpec) (Measurement, error) {
 	if len(schedule) > 0 {
 		lastArrival = schedule[len(schedule)-1]
 	}
-	holder := programHolder{
+	return programHolder{
 		open: &rts.OpenConfig{
 			MaxInSystem: proc.Cap,
 			OnAdmit:     col.Admit,
@@ -73,12 +85,11 @@ func runOpen(spec RunSpec) (Measurement, error) {
 		extraSimTime: lastArrival,
 		inject: func(r *rts.Runtime) error {
 			for i, at := range schedule {
-				if err := r.Inject(at, i, progs[i]); err != nil {
+				if err := r.Inject(at, i, build(i)); err != nil {
 					return err
 				}
 			}
 			return nil
 		},
-	}
-	return runWith(spec, holder)
+	}, nil
 }

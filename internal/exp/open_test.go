@@ -2,8 +2,14 @@ package exp
 
 import (
 	"encoding/json"
+	"fmt"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"cata/internal/sim"
 )
 
 // openSpec is the cheap open-system configuration the tests share.
@@ -146,5 +152,84 @@ func TestClosedRunIgnoresOpenPath(t *testing.T) {
 	}
 	if m.Open != nil {
 		t.Fatal("closed run produced an Open report")
+	}
+}
+
+// liveHeapAtLastDone runs a forkjoin open run of the given length and
+// returns the live heap, after a full collection, at the moment its last
+// job completes: everything a finished job leaves reachable is counted,
+// everything it leaves for the collector is not.
+func liveHeapAtLastDone(t *testing.T, jobs int) uint64 {
+	t.Helper()
+	spec := RunSpec{
+		Workload:  "forkjoin:width=8,phases=2,dur=100",
+		Policy:    CATA,
+		Cores:     16,
+		FastCores: 8,
+		Seed:      42,
+		Arrivals:  fmt.Sprintf("poisson:lambda=6000,jobs=%d", jobs),
+	}.withDefaults()
+	holder, err := openHolder(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live uint64
+	done, finished := holder.open.OnDone, 0
+	holder.open.OnDone = func(jobID int, arrived, at sim.Time) {
+		done(jobID, arrived, at)
+		if finished++; finished == jobs {
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			live = ms.HeapAlloc
+		}
+	}
+	m, err := runWith(spec, holder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Open.JobsCompleted != int64(jobs) || live == 0 {
+		t.Fatalf("%d of %d jobs completed, live heap %d", m.Open.JobsCompleted, jobs, live)
+	}
+	return live
+}
+
+// TestOpenRunRetainsNothingPerJob: a finished job leaves no state behind,
+// so the live heap at the end of an open run does not grow with the
+// number of jobs it served. Before jobs were retired from the task graph
+// each one left about 12.5 KB reachable.
+func TestOpenRunRetainsNothingPerJob(t *testing.T) {
+	const short, long = 250, 2000
+	a := liveHeapAtLastDone(t, short)
+	b := liveHeapAtLastDone(t, long)
+	perJob := (float64(b) - float64(a)) / (long - short)
+	t.Logf("live heap %d B at %d jobs, %d B at %d jobs: %.0f B/job", a, short, b, long, perJob)
+	if perJob >= 1024 {
+		t.Fatalf("live heap grows %.0f B per finished job, want < 1 KB", perJob)
+	}
+}
+
+// TestOpenRunBuildErrorFailsRun: a job whose program cannot be built at
+// admission ends the run with an error naming the job instead of
+// panicking or leaving the run waiting on a job that never entered.
+func TestOpenRunBuildErrorFailsRun(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	spec := openSpec("poisson:lambda=2000,jobs=5")
+	spec.Workload = "trace:file=" + missing
+	errc := make(chan error, 1)
+	go func() {
+		_, err := Run(spec)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("run with an unbuildable job succeeded")
+		}
+		if !strings.Contains(err.Error(), "job 0") || !strings.Contains(err.Error(), filepath.Base(missing)) {
+			t.Fatalf("error does not name the job and its cause: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run with an unbuildable job did not return")
 	}
 }

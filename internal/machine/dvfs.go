@@ -41,7 +41,15 @@ type DVFSController struct {
 	settleLatency stats.DurationSummary
 }
 
+// dvfsCore is one core's controller state. At most one transition is in
+// flight per core; its completion continuation is a method value built
+// once at construction, so transitions schedule without allocating.
 type dvfsCore struct {
+	d  *DVFSController
+	id int
+
+	completeCb func()
+
 	actual       energy.Level
 	target       energy.Level
 	inFlight     bool
@@ -55,7 +63,9 @@ func NewDVFSController(eng *sim.Engine, cfg *Config) *DVFSController {
 	d := &DVFSController{eng: eng, cfg: cfg}
 	d.cores = make([]dvfsCore, cfg.Cores)
 	for i := range d.cores {
-		d.cores[i] = dvfsCore{actual: cfg.SlowLevel, target: cfg.SlowLevel}
+		c := &d.cores[i]
+		*c = dvfsCore{d: d, id: i, actual: cfg.SlowLevel, target: cfg.SlowLevel}
+		c.completeCb = c.complete
 	}
 	return d
 }
@@ -119,22 +129,27 @@ func (d *DVFSController) Request(core int, level energy.Level) {
 		d.rec.FreqRequest(c.requestedAt, core, int(level))
 	}
 	if !c.inFlight {
-		d.begin(core)
+		c.begin()
 	}
 	// If a transition is in flight the new target is latched; completion
 	// logic will chain the follow-up transition.
 }
 
-func (d *DVFSController) begin(core int) {
-	c := &d.cores[core]
+// begin starts the transition to the current target. Starting one
+// while another is in flight on the core panics: Request latches
+// mid-transition targets instead.
+func (c *dvfsCore) begin() {
+	if c.inFlight {
+		panic(fmt.Sprintf("machine: DVFS transition on core %d while another is in flight", c.id))
+	}
 	c.inFlight = true
 	c.inFlightTo = c.target
-	d.transitions++
-	d.eng.After(d.cfg.TransitionLatency, func() { d.complete(core) })
+	c.d.transitions++
+	c.d.eng.After(c.d.cfg.TransitionLatency, c.completeCb)
 }
 
-func (d *DVFSController) complete(core int) {
-	c := &d.cores[core]
+func (c *dvfsCore) complete() {
+	d, core := c.d, c.id
 	c.inFlight = false
 	changed := c.actual != c.inFlightTo
 	c.actual = c.inFlightTo
@@ -150,7 +165,7 @@ func (d *DVFSController) complete(core int) {
 		d.rec.FreqActual(d.eng.Now(), core, int(c.actual), d.cfg.Power.Point(c.actual).Freq, settle)
 	}
 	if c.target != c.actual {
-		d.begin(core) // target moved while we were transitioning
+		c.begin() // target moved while we were transitioning
 	}
 }
 

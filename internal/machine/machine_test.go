@@ -518,3 +518,41 @@ func TestC3SleepUsesLessEnergyThanC1(t *testing.T) {
 		t.Fatalf("C3 energy %v >= C1 energy %v", withC3, noC3)
 	}
 }
+
+// TestDVFSRequestZeroAllocs pins the controller's preallocated
+// completion continuation: a request through to the transition landing
+// — rescaling a segment in flight on the core — allocates nothing.
+func TestDVFSRequestZeroAllocs(t *testing.T) {
+	eng, m := newTestMachine(t, testConfig())
+	nop := func() {}
+	level := m.Cfg.FastLevel
+	allocs := testing.AllocsPerRun(100, func() {
+		m.Core(1).Exec(1_000_000, 0, nop)
+		m.DVFS.Request(1, level)
+		eng.Run()
+		if m.DVFS.Actual(1) != level {
+			t.Fatalf("transition to %v never landed", level)
+		}
+		if level == m.Cfg.FastLevel {
+			level = m.Cfg.SlowLevel
+		} else {
+			level = m.Cfg.FastLevel
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Request allocates %v times per transition, want 0", allocs)
+	}
+}
+
+// TestDVFSOverlappingTransitionPanics: one transition is in flight per
+// core; Request latches newer targets rather than starting another.
+func TestDVFSOverlappingTransitionPanics(t *testing.T) {
+	_, m := newTestMachine(t, testConfig())
+	m.DVFS.Request(0, m.Cfg.FastLevel)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second transition on a core with one in flight did not panic")
+		}
+	}()
+	m.DVFS.cores[0].begin()
+}

@@ -211,3 +211,25 @@ func TestRoundExcludesSetup(t *testing.T) {
 		t.Fatalf("engine/deep-queue at n=1: %d allocs/op, want ~0 (setup leaked into the timed loop)", res.AllocsPerOp)
 	}
 }
+
+// TestMeasureIterationFloor: an entry whose every iteration outlasts the
+// bench time still settles on minIterations, not on a single iteration.
+func TestMeasureIterationFloor(t *testing.T) {
+	calls := 0
+	slow := untimedSetup(func(n int) (int64, error) {
+		calls += n
+		time.Sleep(time.Duration(n) * 2 * time.Millisecond)
+		return 0, nil
+	})
+	res, err := measure("slow", slow, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations != minIterations {
+		t.Fatalf("settled on %d iterations, want the floor %d", res.Iterations, minIterations)
+	}
+	// One probing round at n=1, then three rounds at the floor.
+	if want := 1 + 3*minIterations; calls != want {
+		t.Fatalf("%d iterations run, want %d", calls, want)
+	}
+}

@@ -60,11 +60,11 @@ func (o Options) withDefaults() Options {
 // (zero when the entry does not drive the engine directly).
 type benchFunc func() (loop func(n int) (events int64, err error))
 
-// Run executes the full suite — figure matrices, per-workload runs,
-// engine and TDG microbenchmarks, then checksums — and returns the
-// capture. With CPUProfileDir/MemProfileDir set, every stage leaves
-// pprof CPU/heap profiles behind and the capture's Profiles metadata
-// records where.
+// Run executes the full suite — figure matrices, per-workload runs, an
+// open-system soak, engine and TDG microbenchmarks, then checksums — and
+// returns the capture. With CPUProfileDir/MemProfileDir set, every stage
+// leaves pprof CPU/heap profiles behind and the capture's Profiles
+// metadata records where.
 func Run(opts Options) (*File, error) {
 	opts = opts.withDefaults()
 	f := NewFile(opts.Scale, opts.Seed)
@@ -173,6 +173,7 @@ func suite(opts Options) []entry {
 		es = append(es, entry{"workload/" + w, workloadBench(w, opts)})
 	}
 	es = append(es,
+		entry{"open/forkjoin-soak", openSoakBench(opts)},
 		entry{"engine/schedule-fire", engineScheduleFire},
 		entry{"engine/deep-queue", engineDeepQueue},
 		entry{"engine/cancel-reschedule", engineCancelReschedule},
@@ -217,6 +218,36 @@ func workloadBench(workload string, opts Options) benchFunc {
 			}
 			if m.TasksRun == 0 {
 				return 0, fmt.Errorf("no tasks run")
+			}
+		}
+		return 0, nil
+	})
+}
+
+// openSoakBench is one open-system run: Poisson-arriving fork-join jobs
+// sharing a 16-core machine under CATA at about two thirds of its
+// capacity, nothing shed. Its allocs/op are the per-job cost of
+// admission, the job's DAG build, and its tasks' trip through the
+// graph and CATA's reconfiguration path. The job count follows the
+// suite scale (400 jobs at the default 0.4).
+func openSoakBench(opts Options) benchFunc {
+	jobs := max(int(1000*opts.Scale), 20)
+	spec := exp.RunSpec{
+		Workload:  "forkjoin:width=8,phases=2,dur=100",
+		Policy:    exp.CATA,
+		Cores:     16,
+		FastCores: 8,
+		Seed:      opts.Seed,
+		Arrivals:  fmt.Sprintf("poisson:lambda=6000,jobs=%d", jobs),
+	}
+	return untimedSetup(func(n int) (int64, error) {
+		for i := 0; i < n; i++ {
+			m, err := exp.Run(spec)
+			if err != nil {
+				return 0, err
+			}
+			if m.Open == nil || m.Open.JobsCompleted != int64(jobs) {
+				return 0, fmt.Errorf("open soak completed %v of %d jobs", m.Open, jobs)
 			}
 		}
 		return 0, nil
@@ -309,8 +340,14 @@ var tdgSubmitDense = untimedSetup(func(n int) (int64, error) {
 	return 0, nil
 })
 
+// minIterations floors the settled iteration count, so a slow first
+// round (cold caches, page faults, a descheduled process) cannot fix
+// n=1 and make one outlier iteration the whole ns/op figure.
+const minIterations = 5
+
 // measure runs fn with growing iteration counts until the target bench
-// time is met, then takes the best of three rounds at the settled count.
+// time is met and at least minIterations ran, then takes the best of
+// three rounds at the settled count.
 // It mirrors testing.B's protocol (GC before timing, memstats deltas for
 // allocation counts) without depending on the testing package in a
 // non-test binary; the min-of-rounds step absorbs scheduler noise spikes
@@ -322,7 +359,7 @@ func measure(name string, fn benchFunc, benchTime time.Duration) (Result, error)
 		if err != nil {
 			return Result{}, err
 		}
-		if elapsed >= benchTime || n >= 1e9 {
+		if (elapsed >= benchTime && n >= minIterations) || n >= 1e9 {
 			for i := 0; i < 2; i++ {
 				again, _, err := round(name, fn, n)
 				if err != nil {
@@ -348,7 +385,7 @@ func measure(name string, fn benchFunc, benchTime time.Duration) (Result, error)
 		if next <= n {
 			next = n + 1
 		}
-		n = next
+		n = max(next, minIterations)
 	}
 }
 

@@ -82,7 +82,7 @@ func init() {
 			Build: func(_ spec.Params, env *Env) error {
 				env.RSU = rsu.New(env.Eng, env.Mach)
 				env.RSU.Init(env.FastCores)
-				env.Cfg.Reconfig = rts.RSUReconfig{RSU: env.RSU, Machine: env.Mach, OpCycles: env.Cfg.Options.RSUOpCycles}
+				env.Cfg.Reconfig = rts.NewRSUReconfig(env.RSU, env.Mach, env.Cfg.Options.RSUOpCycles)
 				env.Cfg.NewScheduler = func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() }
 				return nil
 			},
@@ -105,7 +105,7 @@ func init() {
 				env.RSU = rsu.New(env.Eng, env.Mach)
 				env.RSU.Init(env.FastCores)
 				rsu.NewHaltAware(env.RSU, env.Mach)
-				env.Cfg.Reconfig = rts.RSUReconfig{RSU: env.RSU, Machine: env.Mach, OpCycles: env.Cfg.Options.RSUOpCycles}
+				env.Cfg.Reconfig = rts.NewRSUReconfig(env.RSU, env.Mach, env.Cfg.Options.RSUOpCycles)
 				env.Cfg.NewScheduler = func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() }
 				return nil
 			},
@@ -127,7 +127,7 @@ func init() {
 				// units, so the pool is 2x the fast-core budget.
 				env.ML = rsu.NewMultiLevel(env.Eng, env.Mach, rsu.ThreeLevelUnitCosts())
 				env.ML.Init(2 * env.FastCores)
-				env.Cfg.Reconfig = rts.RSUReconfig{RSU: env.ML, Machine: env.Mach, OpCycles: env.Cfg.Options.RSUOpCycles}
+				env.Cfg.Reconfig = rts.NewRSUReconfig(env.ML, env.Mach, env.Cfg.Options.RSUOpCycles)
 				env.Cfg.NewScheduler = func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() }
 				return nil
 			},

@@ -77,6 +77,31 @@ type RSM struct {
 
 	// rec, when non-nil, receives grant/deny events with budget state.
 	rec probe.Recorder
+
+	// ops holds one in-flight TaskStart/TaskEnd per core.
+	ops []op
+}
+
+// op is one core's TaskStart or TaskEnd in flight. Its stages are method
+// values built once at construction, so an operation — lock, bookkeeping
+// and up to two cpufreq writes — schedules its events without
+// allocating.
+type op struct {
+	r    *RSM
+	core int
+	busy bool
+
+	ending   bool // TaskEnd rather than TaskStart
+	critical bool // TaskStart: the starting task is critical
+	start    sim.Time
+	done     func()
+
+	lockedCb  func() // lock granted: pay the bookkeeping
+	startedCb func() // TaskStart bookkeeping done: decide
+	endedCb   func() // TaskEnd bookkeeping done: decide
+	swapCb    func() // victim decelerated: accelerate this core
+	handoffCb func() // TaskEnd core decelerated: hand its budget on
+	finishCb  func() // last write returned: release and finish
 }
 
 // New creates an RSM with the given power budget (maximum number of
@@ -85,7 +110,7 @@ func New(eng *sim.Engine, mach *machine.Machine, fw *cpufreq.Framework, budget i
 	if budget < 0 || budget > mach.Cores() {
 		panic(fmt.Sprintf("rsm: budget %d out of range [0,%d]", budget, mach.Cores()))
 	}
-	return &RSM{
+	r := &RSM{
 		eng:               eng,
 		mach:              mach,
 		fw:                fw,
@@ -94,7 +119,20 @@ func New(eng *sim.Engine, mach *machine.Machine, fw *cpufreq.Framework, budget i
 		crit:              make([]CritState, mach.Cores()),
 		accel:             make([]bool, mach.Cores()),
 		BookkeepingCycles: 400,
+		ops:               make([]op, mach.Cores()),
 	}
+	for i := range r.ops {
+		o := &r.ops[i]
+		o.r = r
+		o.core = i
+		o.lockedCb = o.locked
+		o.startedCb = o.started
+		o.endedCb = o.ended
+		o.swapCb = o.swap
+		o.handoffCb = o.handoff
+		o.finishCb = o.finish
+	}
+	return r
 }
 
 // SetRecorder attaches a flight recorder reporting acceleration grants
@@ -160,71 +198,113 @@ func (r *RSM) OpTimeTotal() sim.Time { return r.opTimeTotal }
 //
 // The operation (lock, bookkeeping, cpufreq writes) executes on the
 // calling core's timeline; done fires when it completes and the task may
-// start executing.
+// start executing. A core runs one operation at a time: starting a
+// second before done has fired panics.
 func (r *RSM) TaskStart(core int, critical bool, done func()) {
-	start := r.eng.Now()
-	cs := NonCritical
-	if critical {
-		cs = Critical
-	}
-	r.lock.Acquire(func() {
-		r.mach.Core(core).Exec(r.BookkeepingCycles, 0, func() {
-			r.crit[core] = cs
-			switch {
-			case r.nAccel < r.budget:
-				r.accelerate(core)
-				r.write(core, core, true, func() { r.finishOp(core, start, done) })
-			case critical:
-				victim := r.findVictim()
-				if victim >= 0 {
-					r.decelerate(victim)
-					r.write(core, victim, false, func() {
-						r.accelerate(core)
-						r.write(core, core, true, func() { r.finishOp(core, start, done) })
-					})
-				} else {
-					// All accelerated cores run critical tasks: run slow.
-					r.denies++
-					if r.rec != nil {
-						r.rec.AccelDeny(r.eng.Now(), core, true, r.nAccel, r.budget)
-					}
-					r.finishOp(core, start, done)
-				}
-			default:
-				r.denies++
-				if r.rec != nil {
-					r.rec.AccelDeny(r.eng.Now(), core, false, r.nAccel, r.budget)
-				}
-				r.finishOp(core, start, done)
-			}
-		})
-	})
+	o := r.begin(core, false, done)
+	o.critical = critical
+	r.lock.Acquire(o.lockedCb)
 }
 
 // TaskEnd runs the §III-A algorithm when a task finishes on core: the core
 // is decelerated and, if a critical task runs non-accelerated somewhere,
 // that core is accelerated with the freed budget.
 func (r *RSM) TaskEnd(core int, done func()) {
-	start := r.eng.Now()
-	r.lock.Acquire(func() {
-		r.mach.Core(core).Exec(r.BookkeepingCycles, 0, func() {
-			r.crit[core] = NoTask
-			if !r.accel[core] {
-				r.finishOp(core, start, done)
-				return
+	r.lock.Acquire(r.begin(core, true, done).lockedCb)
+}
+
+// begin claims the core's operation slot.
+func (r *RSM) begin(core int, ending bool, done func()) *op {
+	o := &r.ops[core]
+	if o.busy {
+		panic(fmt.Sprintf("rsm: operation on core %d while another is in flight", core))
+	}
+	o.busy = true
+	o.ending = ending
+	o.start = r.eng.Now()
+	o.done = done
+	return o
+}
+
+func (o *op) locked() {
+	next := o.startedCb
+	if o.ending {
+		next = o.endedCb
+	}
+	o.r.mach.Core(o.core).Exec(o.r.BookkeepingCycles, 0, next)
+}
+
+func (o *op) started() {
+	r, core := o.r, o.core
+	r.crit[core] = NonCritical
+	if o.critical {
+		r.crit[core] = Critical
+	}
+	switch {
+	case r.nAccel < r.budget:
+		r.accelerate(core)
+		r.write(core, core, true, o.finishCb)
+	case o.critical:
+		victim := r.findVictim()
+		if victim >= 0 {
+			r.decelerate(victim)
+			r.write(core, victim, false, o.swapCb)
+		} else {
+			// All accelerated cores run critical tasks: run slow.
+			r.denies++
+			if r.rec != nil {
+				r.rec.AccelDeny(r.eng.Now(), core, true, r.nAccel, r.budget)
 			}
-			r.decelerate(core)
-			r.write(core, core, false, func() {
-				next := r.findWaitingCritical()
-				if next < 0 {
-					r.finishOp(core, start, done)
-					return
-				}
-				r.accelerate(next)
-				r.write(core, next, true, func() { r.finishOp(core, start, done) })
-			})
-		})
-	})
+			o.finish()
+		}
+	default:
+		r.denies++
+		if r.rec != nil {
+			r.rec.AccelDeny(r.eng.Now(), core, false, r.nAccel, r.budget)
+		}
+		o.finish()
+	}
+}
+
+func (o *op) swap() {
+	o.r.accelerate(o.core)
+	o.r.write(o.core, o.core, true, o.finishCb)
+}
+
+func (o *op) ended() {
+	r, core := o.r, o.core
+	r.crit[core] = NoTask
+	if !r.accel[core] {
+		o.finish()
+		return
+	}
+	r.decelerate(core)
+	r.write(core, core, false, o.handoffCb)
+}
+
+func (o *op) handoff() {
+	r := o.r
+	next := r.findWaitingCritical()
+	if next < 0 {
+		o.finish()
+		return
+	}
+	r.accelerate(next)
+	r.write(o.core, next, true, o.finishCb)
+}
+
+// finish releases the runtime lock, accounts the operation's latency,
+// frees the core's slot and hands control back to the runtime.
+func (o *op) finish() {
+	r := o.r
+	r.lock.Release()
+	lat := r.eng.Now() - o.start
+	r.opLatency.ObserveTime(lat)
+	r.opTimeTotal += lat
+	done := o.done
+	o.done = nil
+	o.busy = false
+	done()
 }
 
 // findVictim returns an accelerated core running a non-critical task, or
@@ -281,12 +361,4 @@ func (r *RSM) write(caller, target int, fast bool, done func()) {
 		level = r.mach.Cfg.FastLevel
 	}
 	r.fw.Write(caller, target, level, done)
-}
-
-func (r *RSM) finishOp(core int, start sim.Time, done func()) {
-	r.lock.Release()
-	lat := r.eng.Now() - start
-	r.opLatency.ObserveTime(lat)
-	r.opTimeTotal += lat
-	done()
 }

@@ -248,3 +248,126 @@ func TestBudgetNeverExceededProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOperationsZeroAllocs pins the RSM's preallocated continuations:
+// every TaskStart branch (free budget, victim swap, deny) and every
+// TaskEnd branch (not accelerated, no waiting critical task, hand-off)
+// allocates nothing in steady state, cpufreq writes and DVFS
+// transitions included. Each cycle returns the RSM to the state its
+// setup left, and its reconfiguration counts prove the branches ran.
+func TestOperationsZeroAllocs(t *testing.T) {
+	type step struct {
+		core int
+		fn   func()
+	}
+	type deltas struct{ accels, decels, denies int64 }
+	nop := func() {}
+	for _, tc := range []struct {
+		name         string
+		setup, cycle func(r *RSM) []step
+		want         deltas
+	}{
+		{
+			// start: free budget; end: no waiting critical task.
+			name: "free-budget",
+			cycle: func(r *RSM) []step {
+				return []step{
+					{0, func() { r.TaskStart(0, false, nop) }},
+					{0, func() { r.TaskEnd(0, nop) }},
+				}
+			},
+			want: deltas{accels: 1, decels: 1},
+		},
+		{
+			// start: a critical task takes a non-critical victim's slot;
+			// end: not accelerated, then the victim's core takes the free
+			// budget back.
+			name:  "victim-swap",
+			setup: func(r *RSM) []step { return []step{{0, func() { r.TaskStart(0, false, nop) }}} },
+			cycle: func(r *RSM) []step {
+				return []step{
+					{1, func() { r.TaskStart(1, true, nop) }},
+					{1, func() { r.TaskEnd(1, nop) }},
+					{0, func() { r.TaskEnd(0, nop) }},
+					{0, func() { r.TaskStart(0, false, nop) }},
+				}
+			},
+			want: deltas{accels: 2, decels: 2},
+		},
+		{
+			// start: denied, for a non-critical and a critical task
+			// (every accelerated core runs critical work); end: not
+			// accelerated.
+			name:  "deny",
+			setup: func(r *RSM) []step { return []step{{0, func() { r.TaskStart(0, true, nop) }}} },
+			cycle: func(r *RSM) []step {
+				return []step{
+					{1, func() { r.TaskStart(1, false, nop) }},
+					{1, func() { r.TaskEnd(1, nop) }},
+					{1, func() { r.TaskStart(1, true, nop) }},
+					{1, func() { r.TaskEnd(1, nop) }},
+				}
+			},
+			want: deltas{denies: 2},
+		},
+		{
+			// end: the freed budget goes to a critical task running slow.
+			name:  "hand-off",
+			setup: func(r *RSM) []step { return []step{{0, func() { r.TaskStart(0, true, nop) }}} },
+			cycle: func(r *RSM) []step {
+				return []step{
+					{1, func() { r.TaskStart(1, true, nop) }},
+					{0, func() { r.TaskEnd(0, nop) }},
+					{0, func() { r.TaskStart(0, true, nop) }},
+					{1, func() { r.TaskEnd(1, nop) }},
+				}
+			},
+			want: deltas{accels: 2, decels: 2, denies: 2},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, m, r := newRig(t, 4, 1)
+			for i := 0; i < m.Cores(); i++ {
+				m.Core(i).Exec(0, 0, nop) // worker context: busy, never idle-demoted
+			}
+			eng.Run()
+			run := func(steps []step) {
+				for _, s := range steps {
+					m.Core(s.core).Exec(0, 0, s.fn)
+					eng.Run()
+				}
+			}
+			if tc.setup != nil {
+				run(tc.setup(r))
+			}
+			cycle := tc.cycle(r)
+			counts := func() deltas {
+				a, d := r.Reconfigs()
+				return deltas{a, d, r.Denied()}
+			}
+			before := counts()
+			run(cycle)
+			after := counts()
+			got := deltas{after.accels - before.accels, after.decels - before.decels, after.denies - before.denies}
+			if got != tc.want {
+				t.Fatalf("one cycle: %+v, want %+v", got, tc.want)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { run(cycle) }); allocs != 0 {
+				t.Fatalf("%v allocations per cycle, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestOverlappingOperationsPanic: a core runs one RSM operation at a
+// time.
+func TestOverlappingOperationsPanic(t *testing.T) {
+	_, _, r := newRig(t, 2, 1)
+	r.TaskStart(0, false, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second operation on a core with one in flight did not panic")
+		}
+	}()
+	r.TaskEnd(0, func() {})
+}

@@ -49,6 +49,11 @@ type openState struct {
 	// template tokens are remapped so jobs instantiated from the same
 	// template never alias each other's data in the shared graph.
 	nextToken tdg.Token
+	// remap is the admission scratch map from a template's tokens to the
+	// job's fresh ones, cleared after each admission and reused.
+	remap map[tdg.Token]tdg.Token
+	// err is the first admission failure; it stops the run.
+	err error
 }
 
 // openJob is one admitted job: a program template stepped through
@@ -56,36 +61,47 @@ type openState struct {
 // start (the whole sub-DAG enters the TDG; dependences pace execution);
 // a barrier item ends the phase, and the next phase starts when every
 // in-flight task of this job has completed.
+//
+// A job's state lives exactly as long as the job. Its tasks and their
+// remapped dependence tokens are two slabs sized once at admission;
+// tasks are taken from the slab by index, so *Task pointers stay valid.
+// When the last task completes, the job's tokens are retired from the
+// graph, and nothing the runtime keeps points at the job any more.
 type openJob struct {
-	id      int
-	prog    *program.Program
-	next    int // next program item to process
-	live    int // submitted-but-unfinished tasks of this job
-	arrived sim.Time
-	tokens  map[tdg.Token]tdg.Token // template token -> fresh global token
+	id        int
+	prog      *program.Program
+	next      int // next program item to process
+	live      int // submitted-but-unfinished tasks of this job
+	arrived   sim.Time
+	tasks     []tdg.Task  // one per template task, in program order
+	submitted int         // tasks[:submitted] have entered the graph
+	tokens    []tdg.Token // every task's Ins and Outs, back to back
 }
 
 // Inject schedules one job arrival at the given simulated time. It must
 // be called after New and before Run, on a runtime configured with
-// Config.Open. Job IDs are caller-chosen and only echoed to callbacks.
-func (r *Runtime) Inject(at sim.Time, jobID int, prog *program.Program) error {
+// Config.Open. Job IDs are caller-chosen and only echoed to callbacks
+// and errors.
+//
+// build produces the job's program when the job is admitted; a shed
+// arrival builds nothing. The program is validated at admission. A
+// build or validation error stops the run, and Run returns it naming
+// the job.
+func (r *Runtime) Inject(at sim.Time, jobID int, build func() (*program.Program, error)) error {
 	if r.open == nil {
 		return fmt.Errorf("rts: Inject on a closed-system runtime")
 	}
-	if prog == nil {
-		return fmt.Errorf("rts: Inject with nil program")
-	}
-	if err := prog.Validate(); err != nil {
-		return err
+	if build == nil {
+		return fmt.Errorf("rts: Inject with nil build function")
 	}
 	r.open.pending++
-	r.eng.At(at, func() { r.openArrive(jobID, prog) })
+	r.eng.At(at, func() { r.openArrive(jobID, build) })
 	return nil
 }
 
-// openArrive delivers one arrival: admit (and submit the first phase)
-// or shed against the in-system cap.
-func (r *Runtime) openArrive(jobID int, prog *program.Program) {
+// openArrive delivers one arrival: admit (build the job and submit its
+// first phase) or shed against the in-system cap.
+func (r *Runtime) openArrive(jobID int, build func() (*program.Program, error)) {
 	o := r.open
 	o.pending--
 	now := r.eng.Now()
@@ -100,17 +116,81 @@ func (r *Runtime) openArrive(jobID int, prog *program.Program) {
 		}
 		return
 	}
+	prog, err := build()
+	if err == nil && prog == nil {
+		err = fmt.Errorf("build returned no program")
+	}
+	if err == nil {
+		err = prog.Validate()
+	}
+	if err != nil {
+		o.err = fmt.Errorf("job %d: %w", jobID, err)
+		r.eng.Stop()
+		return
+	}
 	o.inSystem++
 	if o.cfg.OnAdmit != nil {
 		o.cfg.OnAdmit(jobID, now)
+	}
+	r.openAdvance(o.admit(jobID, prog, now))
+}
+
+// admit instantiates a job from its program: one task slab and one
+// token slab, each sized exactly, with every template token remapped to
+// a fresh global token.
+func (o *openState) admit(jobID int, prog *program.Program, now sim.Time) *openJob {
+	ntasks, ntokens := 0, 0
+	for _, it := range prog.Items {
+		if it.Task != nil {
+			ntasks++
+			ntokens += len(it.Task.Ins) + len(it.Task.Outs)
+		}
 	}
 	j := &openJob{
 		id:      jobID,
 		prog:    prog,
 		arrived: now,
-		tokens:  make(map[tdg.Token]tdg.Token),
+		tasks:   make([]tdg.Task, ntasks),
+		tokens:  make([]tdg.Token, 0, ntokens),
 	}
-	r.openAdvance(j)
+	i := 0
+	for _, it := range prog.Items {
+		spec := it.Task
+		if spec == nil {
+			continue
+		}
+		t := &j.tasks[i]
+		i++
+		t.Type = spec.Type
+		t.CPUCycles = spec.CPUCycles
+		t.MemTime = spec.MemTime
+		t.IOTime = spec.IOTime
+		t.Ins = o.remapInto(j, spec.Ins)
+		t.Outs = o.remapInto(j, spec.Outs)
+		t.Core = -1
+	}
+	clear(o.remap)
+	return j
+}
+
+// remapInto translates template tokens into the job's fresh global
+// tokens, allocating a token on first sight, and returns them as a
+// capacity-capped window of the job's token slab.
+func (o *openState) remapInto(j *openJob, ts []tdg.Token) []tdg.Token {
+	if len(ts) == 0 {
+		return nil
+	}
+	start := len(j.tokens)
+	for _, tok := range ts {
+		nt, ok := o.remap[tok]
+		if !ok {
+			nt = o.nextToken
+			o.nextToken++
+			o.remap[tok] = nt
+		}
+		j.tokens = append(j.tokens, nt)
+	}
+	return j.tokens[start:len(j.tokens):len(j.tokens)]
 }
 
 // openAdvance submits program items until the job blocks on a barrier
@@ -127,29 +207,22 @@ func (r *Runtime) openAdvance(j *openJob) {
 			continue
 		}
 		j.next++
-		r.openSubmit(j, it.Task)
+		r.openSubmit(j)
 	}
 	if j.live == 0 {
 		r.openJobDone(j)
 	}
 }
 
-// openSubmit instantiates one template task for the job and submits it
-// to the shared graph. This mirrors creatorStep's task creation but
-// charges no creator cycles: arrivals are generated off-machine by the
-// traffic source, not by a simulated master thread.
-func (r *Runtime) openSubmit(j *openJob, spec *program.TaskSpec) {
-	t := &tdg.Task{
-		ID:          r.nextTaskID,
-		Type:        spec.Type,
-		CPUCycles:   spec.CPUCycles,
-		MemTime:     spec.MemTime,
-		IOTime:      spec.IOTime,
-		Ins:         j.remap(r.open, spec.Ins),
-		Outs:        j.remap(r.open, spec.Outs),
-		SubmittedAt: r.eng.Now(),
-		Core:        -1,
-	}
+// openSubmit submits the job's next task to the shared graph. This
+// mirrors creatorStep's task creation but charges no creator cycles:
+// arrivals are generated off-machine by the traffic source, not by a
+// simulated master thread.
+func (r *Runtime) openSubmit(j *openJob) {
+	t := &j.tasks[j.submitted]
+	j.submitted++
+	t.ID = r.nextTaskID
+	t.SubmittedAt = r.eng.Now()
 	r.nextTaskID++
 	if r.opts.RetainTasks {
 		r.retained = append(r.retained, t)
@@ -158,25 +231,6 @@ func (r *Runtime) openSubmit(j *openJob, spec *program.TaskSpec) {
 	j.live++
 	visited := r.graph.Submit(t) // may fire onTaskReady synchronously
 	r.submitVisited += int64(visited)
-}
-
-// remap translates a template's dependence tokens into the job's fresh
-// global tokens, allocating on first sight.
-func (j *openJob) remap(o *openState, ts []tdg.Token) []tdg.Token {
-	if len(ts) == 0 {
-		return nil
-	}
-	out := make([]tdg.Token, len(ts))
-	for i, tok := range ts {
-		nt, ok := j.tokens[tok]
-		if !ok {
-			nt = o.nextToken
-			o.nextToken++
-			j.tokens[tok] = nt
-		}
-		out[i] = nt
-	}
-	return out
 }
 
 // openTaskDone accounts one task completion against its job, advancing
@@ -191,10 +245,12 @@ func (r *Runtime) openTaskDone(t *tdg.Task) {
 	}
 }
 
-// openJobDone retires a completed job.
+// openJobDone retires a completed job, dropping its tokens from the
+// graph.
 func (r *Runtime) openJobDone(j *openJob) {
 	o := r.open
 	o.inSystem--
+	r.graph.Retire(j.tokens)
 	if o.cfg.OnDone != nil {
 		o.cfg.OnDone(j.id, j.arrived, r.eng.Now())
 	}

@@ -1,6 +1,8 @@
 package rts
 
 import (
+	"fmt"
+
 	"cata/internal/machine"
 	"cata/internal/rsm"
 	"cata/internal/tdg"
@@ -58,28 +60,81 @@ type TaskUnit interface {
 
 // RSUReconfig drives a hardware task unit: the runtime executes one
 // rsu_start_task/rsu_end_task instruction (a few cycles on the calling
-// core); decision and DVFS programming happen in hardware.
+// core); decision and DVFS programming happen in hardware. Build it with
+// NewRSUReconfig: each core's instruction in flight is a preallocated
+// continuation, and a core issues one at a time.
 type RSUReconfig struct {
-	RSU      TaskUnit
-	Machine  *machine.Machine
-	OpCycles int64
+	unit     TaskUnit
+	mach     *machine.Machine
+	opCycles int64
+	ops      []rsuOp
+}
+
+// rsuOp is one core's RSU instruction in flight.
+type rsuOp struct {
+	r        *RSUReconfig
+	core     int
+	busy     bool
+	critical bool
+	done     func()
+
+	startCb func() // rsu_start_task retired: notify the unit
+	endCb   func() // rsu_end_task retired: notify the unit
+}
+
+// NewRSUReconfig returns the runtime's driver for unit on mach, charging
+// opCycles per instruction.
+func NewRSUReconfig(unit TaskUnit, mach *machine.Machine, opCycles int64) *RSUReconfig {
+	r := &RSUReconfig{unit: unit, mach: mach, opCycles: opCycles, ops: make([]rsuOp, mach.Cores())}
+	for i := range r.ops {
+		o := &r.ops[i]
+		o.r = r
+		o.core = i
+		o.startCb = o.started
+		o.endCb = o.ended
+	}
+	return r
 }
 
 // Name implements Reconfigurer.
-func (r RSUReconfig) Name() string { return "rsu" }
+func (r *RSUReconfig) Name() string { return "rsu" }
 
 // TaskStart implements Reconfigurer.
-func (r RSUReconfig) TaskStart(core int, t *tdg.Task, done func()) {
-	r.Machine.Core(core).Exec(r.OpCycles, 0, func() {
-		r.RSU.StartTask(core, t.Critical)
-		done()
-	})
+func (r *RSUReconfig) TaskStart(core int, t *tdg.Task, done func()) {
+	o := r.begin(core, done)
+	o.critical = t.Critical
+	r.mach.Core(core).Exec(r.opCycles, 0, o.startCb)
 }
 
 // TaskEnd implements Reconfigurer.
-func (r RSUReconfig) TaskEnd(core int, _ *tdg.Task, done func()) {
-	r.Machine.Core(core).Exec(r.OpCycles, 0, func() {
-		r.RSU.EndTask(core)
-		done()
-	})
+func (r *RSUReconfig) TaskEnd(core int, _ *tdg.Task, done func()) {
+	r.mach.Core(core).Exec(r.opCycles, 0, r.begin(core, done).endCb)
+}
+
+// begin claims the core's instruction slot.
+func (r *RSUReconfig) begin(core int, done func()) *rsuOp {
+	o := &r.ops[core]
+	if o.busy {
+		panic(fmt.Sprintf("rts: RSU instruction on core %d while another is in flight", core))
+	}
+	o.busy = true
+	o.done = done
+	return o
+}
+
+func (o *rsuOp) started() {
+	o.r.unit.StartTask(o.core, o.critical)
+	o.finish()
+}
+
+func (o *rsuOp) ended() {
+	o.r.unit.EndTask(o.core)
+	o.finish()
+}
+
+func (o *rsuOp) finish() {
+	done := o.done
+	o.done = nil
+	o.busy = false
+	done()
 }

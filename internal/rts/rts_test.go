@@ -299,7 +299,7 @@ func TestRSUReconfigWorks(t *testing.T) {
 			return sched.NewCritFirst()
 		},
 		Estimator: sched.StaticAnnotations{},
-		Reconfig:  RSUReconfig{RSU: unit, Machine: m, OpCycles: 4},
+		Reconfig:  NewRSUReconfig(unit, m, 4),
 		Options:   DefaultOptions(),
 	}
 	r, err := New(eng, cfg)
@@ -355,7 +355,7 @@ func TestRSUCheaperThanRSM(t *testing.T) {
 		Program:      build(),
 		NewScheduler: func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() },
 		Estimator:    sched.StaticAnnotations{},
-		Reconfig:     RSUReconfig{RSU: unit, Machine: mH, OpCycles: 4},
+		Reconfig:     NewRSUReconfig(unit, mH, 4),
 		Options:      DefaultOptions(),
 	}
 	rH, err := New(engH, cfgH)
@@ -558,7 +558,7 @@ func TestRandomProgramsComplete(t *testing.T) {
 
 func TestReconfigurerNames(t *testing.T) {
 	if (NoReconfig{}).Name() != "none" || (RSMReconfig{}).Name() != "rsm" ||
-		(RSUReconfig{}).Name() != "rsu" {
+		(&RSUReconfig{}).Name() != "rsu" {
 		t.Fatal("reconfigurer names wrong")
 	}
 }

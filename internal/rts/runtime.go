@@ -161,7 +161,11 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 		// No master thread: core 0 is an ordinary worker and the creator
 		// is permanently done.
 		r.creatorDone = true
-		r.open = &openState{cfg: *cfg.Open, taskJob: make(map[*tdg.Task]*openJob)}
+		r.open = &openState{
+			cfg:     *cfg.Open,
+			taskJob: make(map[*tdg.Task]*openJob),
+			remap:   make(map[tdg.Token]tdg.Token),
+		}
 	}
 	r.percore = make([]coreRun, cfg.Machine.Cores())
 	for i := range r.percore {
@@ -254,6 +258,8 @@ func (r *Runtime) Run() (Result, error) {
 	r.eng.Run()
 
 	switch {
+	case r.open != nil && r.open.err != nil:
+		return Result{}, fmt.Errorf("rts: open-system %w", r.open.err)
 	case r.timedOut && r.open != nil:
 		return Result{}, fmt.Errorf("rts: open-system run exceeded MaxSimTime %v (pending=%d in-system=%d live=%d ready=%d)",
 			r.opts.MaxSimTime, r.open.pending, r.open.inSystem, r.graph.Live(), r.schedq.Len())

@@ -233,6 +233,30 @@ func (g *Graph) Complete(t *Task) int {
 	return released
 }
 
+// Retire forgets the given dependence tokens: their last-writer and
+// reader entries are dropped, so a later access to one of them resolves
+// no dependence, and the completed tasks those entries pointed at become
+// unreachable from the graph. Every task that accessed a token must have
+// completed; retiring a token with a live accessor panics, since its
+// successors would silently lose that dependence. Duplicate tokens are
+// allowed. The open-system runtime retires a job's private tokens when
+// the job completes, which keeps a long run's graph bounded by the jobs
+// in flight rather than every job ever admitted.
+func (g *Graph) Retire(tokens []Token) {
+	for _, d := range tokens {
+		if w := g.writers[d]; w != nil && w.state != Done {
+			panic(fmt.Sprintf("tdg: Retire of token %d with live writer %v", d, w))
+		}
+		for _, r := range g.readers[d] {
+			if r.state != Done {
+				panic(fmt.Sprintf("tdg: Retire of token %d with live reader %v", d, r))
+			}
+		}
+		delete(g.writers, d)
+		delete(g.readers, d)
+	}
+}
+
 // CheckAcyclic walks the whole graph reachable from the given tasks and
 // panics if a dependence cycle exists. Submission order makes cycles
 // impossible by construction (edges always point from earlier to later

@@ -484,3 +484,50 @@ func TestBottomLevelInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRetiredTokensCreateNoEdges: once a job's tokens are retired the
+// graph holds no entry for them, so a later access resolves no
+// dependence and the retired tasks are unreachable from the graph.
+func TestRetiredTokensCreateNoEdges(t *testing.T) {
+	g, ready := collectReady()
+	w := mkTask(0, nil, []Token{1, 2})
+	r := mkTask(1, []Token{1}, []Token{3})
+	g.Submit(w)
+	g.Submit(r)
+	runAll(g, ready)
+	g.Retire([]Token{1, 2, 3, 1}) // duplicates are allowed
+	if len(g.writers) != 0 || len(g.readers) != 0 {
+		t.Fatalf("retired tokens still mapped: %d writers, %d readers", len(g.writers), len(g.readers))
+	}
+	for _, tok := range []Token{1, 2, 3} {
+		n := mkTask(2+int(tok), []Token{tok}, []Token{tok})
+		g.Submit(n)
+		if len(n.Preds()) != 0 || n.State() != Ready {
+			t.Fatalf("access to retired token %d: preds %v, state %v", tok, n.Preds(), n.State())
+		}
+	}
+	if len(w.Succs()) != 1 || len(r.Succs()) != 0 {
+		t.Fatalf("retired tasks gained successors: writer %v, reader %v", w.Succs(), r.Succs())
+	}
+}
+
+func TestRetireLiveTokenPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		task *Task
+	}{
+		{"writer", mkTask(0, nil, []Token{1})},
+		{"reader", mkTask(0, []Token{1}, nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, _ := collectReady()
+			g.Submit(tc.task)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Retire of a token with a live accessor did not panic")
+				}
+			}()
+			g.Retire([]Token{1})
+		})
+	}
+}

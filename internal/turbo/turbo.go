@@ -45,6 +45,12 @@ type Controller struct {
 
 	reassigns  int64
 	wakeBoosts int64
+
+	// handoffCb is the delayed budget hand-off, built once; it needs no
+	// per-halt state, so every pending hand-off shares it. candidates is
+	// pickActive's reusable scratch list.
+	handoffCb  func()
+	candidates []int
 }
 
 // New creates a TurboMode controller with the given fast-core budget and
@@ -61,7 +67,9 @@ func New(eng *sim.Engine, mach *machine.Machine, budget int, rng *xrand.Source) 
 		budget:          budget,
 		accel:           make([]bool, mach.Cores()),
 		DecisionLatency: 150 * sim.Microsecond,
+		candidates:      make([]int, 0, mach.Cores()),
 	}
+	c.handoffCb = c.handoff
 	mach.OnHalt(c.onHalt)
 	mach.OnWake(c.onWake)
 	return c
@@ -102,15 +110,18 @@ func (c *Controller) onHalt(core int) {
 		return
 	}
 	c.decelerate(core)
-	c.eng.After(c.DecisionLatency, func() {
-		if c.nAccel >= c.budget {
-			return
-		}
-		if victim := c.pickActive(); victim >= 0 {
-			c.accelerate(victim)
-			c.reassigns++
-		}
-	})
+	c.eng.After(c.DecisionLatency, c.handoffCb)
+}
+
+// handoff lands a halt-triggered budget hand-off.
+func (c *Controller) handoff() {
+	if c.nAccel >= c.budget {
+		return
+	}
+	if victim := c.pickActive(); victim >= 0 {
+		c.accelerate(victim)
+		c.reassigns++
+	}
 }
 
 // onWake: "the core is accelerated only if there is enough power budget".
@@ -125,7 +136,7 @@ func (c *Controller) onWake(core int) {
 // pickActive returns a uniformly random active (C0), non-accelerated core,
 // or -1 if none exists.
 func (c *Controller) pickActive() int {
-	var candidates []int
+	candidates := c.candidates[:0]
 	for i := 0; i < c.mach.Cores(); i++ {
 		if !c.accel[i] && c.mach.Core(i).Active() {
 			candidates = append(candidates, i)

@@ -186,3 +186,30 @@ func TestPanicsOnBadBudget(t *testing.T) {
 }
 
 var _ = energy.Fast // keep energy import for documentation symmetry
+
+// TestHaltHandoffZeroAllocs pins the controller's preallocated hand-off:
+// a halting accelerated core passing its budget to an active core, and
+// the transitions that follow, allocate nothing in steady state.
+func TestHaltHandoffZeroAllocs(t *testing.T) {
+	eng, m, c := newRig(t, 2, 1)
+	nop := func() {}
+	for i := 0; i < 2; i++ {
+		m.Core(i).Exec(0, 0, nop) // busy, so the idle loop never halts them
+	}
+	eng.Run()
+	c.Start() // core 0 holds the budget
+	halt := 2 * c.DecisionLatency
+	cycle := func() {
+		for _, core := range []int{0, 1} {
+			m.Core(core).HaltFor(halt, nop)
+			eng.Run()
+			if other := 1 - core; !c.Accelerated(other) {
+				t.Fatalf("core %d halted but core %d did not get its budget", core, other)
+			}
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("%v allocations per hand-off cycle, want 0", allocs)
+	}
+}

@@ -83,19 +83,33 @@ func List() []Entry {
 // run's values; the reserved spec parameters override them. The returned
 // program is validated.
 func Build(s string, seed uint64, scale float64) (*program.Program, error) {
+	build, err := Builder(s)
+	if err != nil {
+		return nil, err
+	}
+	return build(seed, scale)
+}
+
+// Builder resolves a workload spec once and returns a function that
+// generates its program for a run's seed and scale exactly as Build
+// does. Callers that build many programs from one spec — an open-system
+// run builds one per job — pay for the spec's parsing once.
+func Builder(s string) (func(seed uint64, scale float64) (*program.Program, error), error) {
 	e, sp, err := registry.Resolve(s)
 	if err != nil {
 		return nil, err
 	}
 	p := sp.Params
-	prog, err := e.Build(p, p.Uint64("seed", seed), p.Float("scale", scale))
-	if err != nil {
-		return nil, err
-	}
-	if err := prog.Validate(); err != nil {
-		return nil, fmt.Errorf("workloads: %s: %w", e.Name, err)
-	}
-	return prog, nil
+	return func(seed uint64, scale float64) (*program.Program, error) {
+		prog, err := e.Build(p, p.Uint64("seed", seed), p.Float("scale", scale))
+		if err != nil {
+			return nil, err
+		}
+		if err := prog.Validate(); err != nil {
+			return nil, fmt.Errorf("workloads: %s: %w", e.Name, err)
+		}
+		return prog, nil
+	}, nil
 }
 
 // Canonicalize resolves a workload spec against the registry — name,
