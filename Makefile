@@ -9,7 +9,7 @@ GO ?= go
 # BENCH_PROFILES, when set, is a directory that receives per-stage pprof
 # CPU and heap profiles alongside the capture (CI uploads it).
 BENCH_OUT ?= /tmp/cata-bench/BENCH_check.json
-BENCH_BASE ?= BENCH_2.json
+BENCH_BASE ?= BENCH_3.json
 BENCH_TOL ?= 0.15
 BENCH_GATE ?= all
 BENCH_PROFILES ?=
@@ -22,7 +22,8 @@ COVER_OUT ?= cover.out
 COVER_FLOOR ?= 75.0
 
 # Fuzz-smoke budget per harness (internal/sim engine, internal/spec parser,
-# the RunConfig JSON decoder in package cata).
+# the RunConfig JSON decoder in package cata, the compiled TDG against its
+# reference resolver, and the DOT and JSON trace parsers).
 FUZZTIME ?= 30s
 
 .PHONY: all build test bench bench-capture bench-check vet fmt fmt-check smoke catad-smoke policies-smoke opensys-smoke fuzz-smoke cover cover-check lint docs-check ci
@@ -98,13 +99,18 @@ opensys-smoke:
 
 # Runs each fuzz harness for a bounded budget: the internal/sim engine
 # (arena/heap invariants vs a reference engine), the internal/spec
-# parser behind every workload, policy and arrivals spec, and the
-# RunConfig JSON decoder behind catad's request bodies. `go test -fuzz`
-# takes one package at a time, hence one line each.
+# parser behind every workload, policy and arrivals spec, the
+# RunConfig JSON decoder behind catad's request bodies, the compiled
+# dependence graph against the reference map-based resolver, and the
+# DOT and JSON trace parsers that feed program compilation. `go test
+# -fuzz` takes one target at a time, hence one line each.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/spec
 	$(GO) test -run=NONE -fuzz=FuzzRunConfigJSON -fuzztime=$(FUZZTIME) .
+	$(GO) test -run=NONE -fuzz='^FuzzCompileVsReference$$' -fuzztime=$(FUZZTIME) ./internal/tdg
+	$(GO) test -run=NONE -fuzz='^FuzzReadDOT$$' -fuzztime=$(FUZZTIME) ./internal/tdg
+	$(GO) test -run=NONE -fuzz='^FuzzReadJSON$$' -fuzztime=$(FUZZTIME) ./internal/program
 
 # Captures a statement-coverage profile across every package.
 cover:

@@ -12,7 +12,7 @@
 //
 // Compare a capture against a baseline (exit 1 on regression):
 //
-//	catabench -compare BENCH_2.json -against /tmp/bench.json [-tol 0.15]
+//	catabench -compare BENCH_3.json -against /tmp/bench.json [-tol 0.15]
 //
 // Capture with pprof evidence (one CPU and/or heap profile per suite
 // stage, paths recorded in the capture's profiles metadata — CI uploads

@@ -1,7 +1,6 @@
 package cata
 
 import (
-	"fmt"
 	"io"
 
 	"cata/internal/program"
@@ -38,29 +37,27 @@ func ExportDOT(w io.Writer, workloadSpec string, seed uint64, scale float64, p *
 	if err != nil {
 		return err
 	}
+	c, err := program.Compile(prog)
+	if err != nil {
+		return err
+	}
+	var in tdg.Instance
+	in.Init(c.DAG())
 	g := tdg.New(nil)
-	var tasks []*tdg.Task
-	id := 0
+	tasks := make([]*tdg.Task, 0, in.Len())
 	for _, it := range prog.Items {
 		if it.Task == nil {
 			continue
 		}
-		t := &tdg.Task{
-			ID:        id,
-			Type:      it.Task.Type,
-			CPUCycles: it.Task.CPUCycles,
-			MemTime:   it.Task.MemTime,
-			IOTime:    it.Task.IOTime,
-			Ins:       it.Task.Ins,
-			Outs:      it.Task.Outs,
-		}
+		t := in.Next()
+		t.ID = len(tasks)
+		t.Type = it.Task.Type
+		t.CPUCycles = it.Task.CPUCycles
+		t.MemTime = it.Task.MemTime
+		t.IOTime = it.Task.IOTime
 		t.Critical = it.Task.Type != nil && it.Task.Type.Criticality > 0
-		id++
 		g.Submit(t)
 		tasks = append(tasks, t)
-	}
-	if len(tasks) == 0 {
-		return fmt.Errorf("cata: nothing to export")
 	}
 	return tdg.WriteDOT(w, tasks)
 }

@@ -67,6 +67,11 @@ type Options[S, R any] struct {
 	// to remote clients. All calls come from a single goroutine, in
 	// completion order.
 	Observe func(Event)
+	// Plan, when non-nil, is called once before any spec runs, with the
+	// indices of the specs that will be dispatched — every spec not
+	// served from the cache — in dispatch order. Runners that share
+	// per-spec resources use it to learn how many runs will use each.
+	Plan func(pending []int)
 	// Note, when non-nil, annotates each progress line. It is also
 	// called once per cache-served result before execution starts, so
 	// state it accumulates (e.g. a running best-EDP) covers the whole
@@ -119,6 +124,9 @@ func Run[S, R any](ctx context.Context, specs []S, runner func(context.Context, 
 		pending = append(pending, i)
 	}
 
+	if opts.Plan != nil {
+		opts.Plan(pending)
+	}
 	prog := newProgress(opts.Progress, opts.Observe, len(specs))
 	prog.resumed(cached)
 

@@ -391,3 +391,45 @@ func TestObserve(t *testing.T) {
 		t.Fatalf("summary event = %+v", sum)
 	}
 }
+
+// TestPlanListsSpecsThatRun: Plan is called once, before any spec runs,
+// with exactly the specs the cache does not serve, in dispatch order.
+func TestPlanListsSpecsThatRun(t *testing.T) {
+	c, err := Open(filepath.Join(t.TempDir(), "cache.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	key := func(s spec) (string, bool) {
+		k, err := Key(s)
+		return k, err == nil
+	}
+	for _, id := range []int{1, 4, 5} {
+		k, _ := key(spec{ID: id})
+		if err := c.Put(k, 2*id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var plans [][]int
+	var ran atomic.Int64
+	counting := func(ctx context.Context, s spec) (int, error) {
+		if len(plans) != 1 {
+			t.Errorf("spec %d ran before Plan", s.ID)
+		}
+		ran.Add(1)
+		return double(ctx, s)
+	}
+	_, err = Run(context.Background(), specs(7), counting, Options[spec, int]{
+		Parallelism: 3, Cache: c, Key: key, Resume: true,
+		Plan: func(pending []int) { plans = append(plans, append([]int(nil), pending...)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 2, 3, 6}; len(plans) != 1 || fmt.Sprint(plans[0]) != fmt.Sprint(want) {
+		t.Fatalf("Plan calls %v, want one with %v", plans, want)
+	}
+	if ran.Load() != 4 {
+		t.Fatalf("%d specs ran, want 4", ran.Load())
+	}
+}

@@ -7,6 +7,7 @@ package exp
 import (
 	"testing"
 
+	"cata/internal/program"
 	"cata/internal/sim"
 	"cata/internal/workloads"
 )
@@ -20,7 +21,11 @@ func sampleDuringRun(t *testing.T, spec RunSpec, every sim.Time, sample func(*ri
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := buildRig(spec, programHolder{prog: w.Build(spec.Seed, spec.Scale)})
+	prog, err := program.Compile(w.Build(spec.Seed, spec.Scale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := buildRig(spec, programHolder{prog: prog})
 	if err != nil {
 		t.Fatal(err)
 	}

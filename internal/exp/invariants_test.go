@@ -43,7 +43,7 @@ func retainedRun(t *testing.T, spec RunSpec) (*rig, []*tdg.Task, sim.Time) {
 	t.Helper()
 	spec = spec.withDefaults()
 	spec.Timeline = io.Discard // forces Options.RetainTasks in buildRig
-	prog, err := workloads.Build(spec.Workload, spec.Seed, spec.Scale)
+	prog, err := buildProgram(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +62,8 @@ func retainedRun(t *testing.T, spec RunSpec) (*rig, []*tdg.Task, sim.Time) {
 	if got := int64(r.runtime.Graph().Submitted()); res.TasksRun != got {
 		t.Errorf("%v: TasksRun %d != graph size %d", spec, res.TasksRun, got)
 	}
-	if prog.Tasks() != len(tasks) {
-		t.Errorf("%v: program has %d tasks, ran %d", spec, prog.Tasks(), len(tasks))
+	if prog.Program().Tasks() != len(tasks) {
+		t.Errorf("%v: program has %d tasks, ran %d", spec, prog.Program().Tasks(), len(tasks))
 	}
 	return r, tasks, res.Makespan
 }

@@ -97,11 +97,15 @@ func RunMatrixSweep(ctx context.Context, spec MatrixSpec, opts SweepOptions) (*M
 		runPolicies = append([]Policy{FIFO}, policies...)
 	}
 
+	// Specs are ordered workload, seed, policy, budget: each program's
+	// cells are dispatched back to back, so Sweep, which builds every
+	// (workload, seed) program once and drops it after its last cell,
+	// keeps only about Parallelism programs alive at a time.
 	var specs []RunSpec
 	for _, w := range spec.Workloads {
-		for _, p := range runPolicies {
-			for _, f := range spec.FastCores {
-				for _, seed := range spec.Seeds {
+		for _, seed := range spec.Seeds {
+			for _, p := range runPolicies {
+				for _, f := range spec.FastCores {
 					specs = append(specs, RunSpec{
 						Workload: w, Policy: p, FastCores: f,
 						Cores: spec.Cores, Seed: seed, Scale: spec.Scale,

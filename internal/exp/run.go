@@ -137,7 +137,7 @@ type Measurement struct {
 // programHolder carries the run's program — or, for open-system runs,
 // the arrival-mode configuration that replaces it — into buildRig.
 type programHolder struct {
-	prog *program.Program
+	prog *program.Compiled
 	// Open-system fields, all zero for closed runs.
 	open *rts.OpenConfig
 	// inject schedules the arrival events on the built runtime.
@@ -156,15 +156,26 @@ func Run(spec RunSpec) (Measurement, error) {
 	if spec.Arrivals != "" {
 		return runOpen(spec)
 	}
+	prog, err := buildProgram(spec)
+	if err != nil {
+		return Measurement{}, err
+	}
+	return runWith(spec, programHolder{prog: prog})
+}
+
+// buildProgram builds a closed run's program — the spec's own Program,
+// or its workload generated for the spec's seed and scale — and
+// compiles it. spec has defaults applied.
+func buildProgram(spec RunSpec) (*program.Compiled, error) {
 	prog := spec.Program
 	if prog == nil {
 		p, err := workloads.Build(spec.Workload, spec.Seed, spec.Scale)
 		if err != nil {
-			return Measurement{}, err
+			return nil, err
 		}
 		prog = p
 	}
-	return runWith(spec, programHolder{prog: prog})
+	return program.Compile(prog)
 }
 
 // runWith builds the rig for one (possibly open-system) run, executes
@@ -189,7 +200,7 @@ func runWith(spec RunSpec, holder programHolder) (Measurement, error) {
 	if spec.Trace != nil {
 		workload := spec.Workload
 		if workload == "" && holder.prog != nil {
-			workload = holder.prog.Name
+			workload = holder.prog.Name()
 		}
 		rec := &trace.Recording{
 			Workload:    workload,

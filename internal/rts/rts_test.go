@@ -45,10 +45,23 @@ func chainProg(n int, cycles int64) *program.Program {
 	return p
 }
 
+// compiled compiles a test program, which must be valid; nil stays nil
+// (open-system configs carry no program).
+func compiled(p *program.Program) *program.Compiled {
+	if p == nil {
+		return nil
+	}
+	c, err := program.Compile(p)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func fifoConfig(m *machine.Machine, p *program.Program) Config {
 	return Config{
 		Machine: m,
-		Program: p,
+		Program: compiled(p),
 		NewScheduler: func(info sched.CoreInfo) sched.Scheduler {
 			return sched.NewFIFO(info)
 		},
@@ -170,7 +183,7 @@ func TestCATSPrefersFastCoresForCritical(t *testing.T) {
 	}
 	cfg := Config{
 		Machine: m,
-		Program: p,
+		Program: compiled(p),
 		NewScheduler: func(info sched.CoreInfo) sched.Scheduler {
 			return sched.NewCATS(info)
 		},
@@ -207,7 +220,7 @@ func TestCATARSMAcceleratesAndRespectsBudget(t *testing.T) {
 	p := forkJoin(2, 12, 600_000)
 	cfg := Config{
 		Machine: m,
-		Program: p,
+		Program: compiled(p),
 		NewScheduler: func(info sched.CoreInfo) sched.Scheduler {
 			return sched.NewCritFirst()
 		},
@@ -266,7 +279,7 @@ func TestCATAFasterThanFIFOOnImbalance(t *testing.T) {
 	module := rsm.New(engC, mC, fw, 2)
 	cfgC := Config{
 		Machine: mC,
-		Program: build(),
+		Program: compiled(build()),
 		NewScheduler: func(info sched.CoreInfo) sched.Scheduler {
 			return sched.NewCritFirst()
 		},
@@ -294,7 +307,7 @@ func TestRSUReconfigWorks(t *testing.T) {
 	unit.Init(2)
 	cfg := Config{
 		Machine: m,
-		Program: forkJoin(2, 12, 600_000),
+		Program: compiled(forkJoin(2, 12, 600_000)),
 		NewScheduler: func(info sched.CoreInfo) sched.Scheduler {
 			return sched.NewCritFirst()
 		},
@@ -332,7 +345,7 @@ func TestRSUCheaperThanRSM(t *testing.T) {
 	module := rsm.New(engS, mS, fw, 2)
 	cfgS := Config{
 		Machine:      mS,
-		Program:      build(),
+		Program:      compiled(build()),
 		NewScheduler: func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() },
 		Estimator:    sched.StaticAnnotations{},
 		Reconfig:     RSMReconfig{RSM: module},
@@ -352,7 +365,7 @@ func TestRSUCheaperThanRSM(t *testing.T) {
 	unit.Init(2)
 	cfgH := Config{
 		Machine:      mH,
-		Program:      build(),
+		Program:      compiled(build()),
 		NewScheduler: func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() },
 		Estimator:    sched.StaticAnnotations{},
 		Reconfig:     NewRSUReconfig(unit, mH, 4),
@@ -458,10 +471,14 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(eng, good); err != nil {
 		t.Fatal(err)
 	}
+	// Programs are validated once, when compiled, not by every runtime.
+	if _, err := program.Compile(&program.Program{Name: "empty"}); err == nil {
+		t.Fatal("empty program compiled")
+	}
 	bad := good
-	bad.Program = &program.Program{Name: "empty"}
+	bad.Program = nil
 	if _, err := New(eng, bad); err == nil {
-		t.Fatal("empty program accepted")
+		t.Fatal("closed config without a program accepted")
 	}
 	bad2 := good
 	bad2.Estimator = nil
@@ -477,7 +494,7 @@ func TestDeterminism(t *testing.T) {
 		module := rsm.New(eng, m, fw, 2)
 		cfg := Config{
 			Machine:      m,
-			Program:      forkJoin(3, 10, 500_000),
+			Program:      compiled(forkJoin(3, 10, 500_000)),
 			NewScheduler: func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() },
 			Estimator:    sched.StaticAnnotations{},
 			Reconfig:     RSMReconfig{RSM: module},
@@ -536,7 +553,7 @@ func TestRandomProgramsComplete(t *testing.T) {
 		eng2 := eng
 		cfg := Config{
 			Machine:      m,
-			Program:      p,
+			Program:      compiled(p),
 			NewScheduler: func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() },
 			Estimator:    sched.NewBottomLevel(),
 			Options:      DefaultOptions(),

@@ -22,8 +22,10 @@ const queueSamplePeriod = 50 * sim.Microsecond
 // sched.CoreInfo (core classes and idle information), breaking the
 // construction cycle between scheduler and runtime.
 type Config struct {
-	Machine      *machine.Machine
-	Program      *program.Program
+	Machine *machine.Machine
+	// Program is the compiled program a closed-system run executes. It
+	// is only read, so one Compiled may back many runtimes at once.
+	Program      *program.Compiled
 	NewScheduler func(info sched.CoreInfo) sched.Scheduler
 	Estimator    sched.Estimator
 	Reconfig     Reconfigurer
@@ -65,7 +67,8 @@ type Result struct {
 type Runtime struct {
 	eng      *sim.Engine
 	mach     *machine.Machine
-	prog     *program.Program
+	prog     *program.Compiled
+	items    []program.Item // prog's creation sequence
 	schedq   sched.Scheduler
 	est      sched.Estimator
 	reconfig Reconfigurer
@@ -85,6 +88,8 @@ type Runtime struct {
 	percore     []coreRun
 	wakeCursor  int
 
+	// inst is the closed run's task slab, instantiated from prog's DAG.
+	inst        tdg.Instance
 	creatorNext int
 	creatorDone bool
 	nextTaskID  int
@@ -136,9 +141,6 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 		if cfg.Program == nil {
 			return nil, fmt.Errorf("rts: incomplete config (machine/program/scheduler/estimator required)")
 		}
-		if err := cfg.Program.Validate(); err != nil {
-			return nil, err
-		}
 	}
 	if err := cfg.Options.Validate(); err != nil {
 		return nil, err
@@ -164,8 +166,10 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 		r.open = &openState{
 			cfg:     *cfg.Open,
 			taskJob: make(map[*tdg.Task]*openJob),
-			remap:   make(map[tdg.Token]tdg.Token),
 		}
+	} else {
+		r.items = cfg.Program.Program().Items
+		r.inst.Init(cfg.Program.DAG())
 	}
 	r.percore = make([]coreRun, cfg.Machine.Cores())
 	for i := range r.percore {
@@ -265,13 +269,13 @@ func (r *Runtime) Run() (Result, error) {
 			r.opts.MaxSimTime, r.open.pending, r.open.inSystem, r.graph.Live(), r.schedq.Len())
 	case r.timedOut:
 		return Result{}, fmt.Errorf("rts: %s exceeded MaxSimTime %v (live=%d ready=%d)",
-			r.prog.Name, r.opts.MaxSimTime, r.graph.Live(), r.schedq.Len())
+			r.prog.Name(), r.opts.MaxSimTime, r.graph.Live(), r.schedq.Len())
 	case !r.finished && r.open != nil:
 		return Result{}, fmt.Errorf("rts: open-system run deadlocked: pending=%d in-system=%d, %d live, %d ready",
 			r.open.pending, r.open.inSystem, r.graph.Live(), r.schedq.Len())
 	case !r.finished:
 		return Result{}, fmt.Errorf("rts: %s deadlocked: creator at %d/%d, %d live, %d ready",
-			r.prog.Name, r.creatorNext, len(r.prog.Items), r.graph.Live(), r.schedq.Len())
+			r.prog.Name(), r.creatorNext, len(r.items), r.graph.Live(), r.schedq.Len())
 	}
 	return Result{
 		Makespan:            r.makespan,
@@ -307,7 +311,7 @@ func (r *Runtime) creatorRunnable() bool {
 	if r.creatorDone {
 		return false
 	}
-	it := r.prog.Items[r.creatorNext]
+	it := r.items[r.creatorNext]
 	if it.Barrier {
 		return r.graph.AllDone()
 	}
@@ -319,9 +323,9 @@ func (r *Runtime) creatorRunnable() bool {
 
 // creatorStep executes one master-thread item on core 0.
 func (r *Runtime) creatorStep() {
-	it := r.prog.Items[r.creatorNext]
+	it := r.items[r.creatorNext]
 	r.creatorNext++
-	if r.creatorNext == len(r.prog.Items) {
+	if r.creatorNext == len(r.items) {
 		r.creatorDone = true
 	}
 	if it.Barrier {
@@ -333,26 +337,28 @@ func (r *Runtime) creatorStep() {
 		r.workerLoop(0)
 		return
 	}
-	spec := it.Task
-	t := &tdg.Task{
-		ID:          r.nextTaskID,
-		Type:        spec.Type,
-		CPUCycles:   spec.CPUCycles,
-		MemTime:     spec.MemTime,
-		IOTime:      spec.IOTime,
-		Ins:         spec.Ins,
-		Outs:        spec.Outs,
-		SubmittedAt: r.eng.Now(),
-		Core:        -1,
-	}
-	r.nextTaskID++
-	if r.opts.RetainTasks {
-		r.retained = append(r.retained, t)
-	}
+	t := r.inst.Next()
+	r.fillTask(t, it.Task)
 	visited := r.graph.Submit(t) // may fire onTaskReady synchronously
 	r.submitVisited += int64(visited)
 	cost := r.opts.CreateCycles + r.est.SubmitCostCycles(visited)
 	r.mach.Core(0).Exec(cost, 0, r.percore[0].workerCb)
+}
+
+// fillTask stamps a slab task about to be submitted with its ID, its
+// work from spec and its submission time.
+func (r *Runtime) fillTask(t *tdg.Task, spec *program.TaskSpec) {
+	t.ID = r.nextTaskID
+	t.Type = spec.Type
+	t.CPUCycles = spec.CPUCycles
+	t.MemTime = spec.MemTime
+	t.IOTime = spec.IOTime
+	t.SubmittedAt = r.eng.Now()
+	t.Core = -1
+	r.nextTaskID++
+	if r.opts.RetainTasks {
+		r.retained = append(r.retained, t)
+	}
 }
 
 // onTaskReady is the graph callback: estimate criticality, enqueue, and

@@ -26,6 +26,21 @@ func plainTask(id int) *tdg.Task {
 	return &tdg.Task{ID: id, Type: &tdg.TaskType{Name: "p"}}
 }
 
+// compile resolves a program of tasks given as (ins, outs) access pairs
+// and returns a fresh instance of it, with task i numbered i.
+func compile(accesses ...[2][]tdg.Token) *tdg.Instance {
+	var r tdg.Resolver
+	for _, a := range accesses {
+		r.Add(a[0], a[1])
+	}
+	in := new(tdg.Instance)
+	in.Init(r.DAG())
+	for i := 0; i < in.Len(); i++ {
+		in.Task(i).ID = i
+	}
+	return in
+}
+
 func TestQueueFIFOOrder(t *testing.T) {
 	var q Queue
 	for i := 0; i < 200; i++ {
@@ -126,12 +141,16 @@ func TestBottomLevelEstimate(t *testing.T) {
 	bl := NewBottomLevel()
 	g := tdg.New(nil)
 	// Chain of 3 via inout + one independent task.
+	inout := [2][]tdg.Token{{1}, {1}}
+	in := compile(inout, inout, inout, [2][]tdg.Token{})
 	chain := make([]*tdg.Task, 3)
 	for i := range chain {
-		chain[i] = &tdg.Task{ID: i, Type: &tdg.TaskType{Name: "x"}, Ins: []tdg.Token{1}, Outs: []tdg.Token{1}}
+		chain[i] = in.Task(i)
+		chain[i].Type = &tdg.TaskType{Name: "x"}
 		g.Submit(chain[i])
 	}
-	indep := &tdg.Task{ID: 9, Type: &tdg.TaskType{Name: "y"}}
+	indep := in.Task(3)
+	indep.Type = &tdg.TaskType{Name: "y"}
 	g.Submit(indep)
 
 	bl.Estimate(chain[0], g) // BL=2 == max → critical
@@ -147,9 +166,11 @@ func TestBottomLevelEstimate(t *testing.T) {
 func TestBottomLevelFlatTDGNonCritical(t *testing.T) {
 	bl := NewBottomLevel()
 	g := tdg.New(nil)
+	in := compile(make([][2][]tdg.Token, 4)...)
 	tasks := make([]*tdg.Task, 4)
 	for i := range tasks {
-		tasks[i] = plainTask(i)
+		tasks[i] = in.Task(i)
+		tasks[i].Type = &tdg.TaskType{Name: "p"}
 		g.Submit(tasks[i])
 		bl.Estimate(tasks[i], g)
 		if tasks[i].Critical {
@@ -161,9 +182,11 @@ func TestBottomLevelFlatTDGNonCritical(t *testing.T) {
 func TestBottomLevelTheta(t *testing.T) {
 	bl := &BottomLevel{Theta: 0.5, CostPerNodeCycles: 1}
 	g := tdg.New(nil)
+	inout := [2][]tdg.Token{{1}, {1}}
+	in := compile(inout, inout, inout, inout, inout)
 	chain := make([]*tdg.Task, 5)
 	for i := range chain {
-		chain[i] = &tdg.Task{ID: i, Ins: []tdg.Token{1}, Outs: []tdg.Token{1}}
+		chain[i] = in.Task(i)
 		g.Submit(chain[i])
 	}
 	// BLs are 4,3,2,1,0; Theta 0.5 → critical iff BL >= 2.

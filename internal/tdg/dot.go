@@ -38,7 +38,7 @@ func WriteDOT(w io.Writer, tasks []*Task) error {
 		}
 	}
 	for _, t := range sorted {
-		for _, s := range t.succs {
+		for _, s := range t.Succs() {
 			if _, err := fmt.Fprintf(w, "  t%d -> t%d;\n", t.ID, s.ID); err != nil {
 				return err
 			}

@@ -13,19 +13,16 @@ import (
 func TestDOTRoundTrip(t *testing.T) {
 	crit := &TaskType{Name: "spine", Criticality: 2}
 	plain := &TaskType{Name: "work"}
+	in := instance(access{nil, toks(1)}, access{toks(1), toks(2)}, access{toks(1), toks(3)}, access{toks(2, 3), nil})
 	g := New(nil)
-	mk := func(id int, tt *TaskType, ins, outs []Token) *Task {
-		tk := &Task{ID: id, Type: tt, CPUCycles: int64(100 * (id + 1)),
-			MemTime: sim.Time(10 * (id + 1)), IOTime: sim.Time(id), Ins: ins, Outs: outs}
+	var tasks []*Task
+	for id, tt := range []*TaskType{crit, plain, plain, crit} {
+		tk := in.Next()
+		tk.Type, tk.CPUCycles = tt, int64(100*(id+1))
+		tk.MemTime, tk.IOTime = sim.Time(10*(id+1)), sim.Time(id)
 		tk.Critical = tt.Criticality > 0
 		g.Submit(tk)
-		return tk
-	}
-	tasks := []*Task{
-		mk(0, crit, nil, []Token{1}),
-		mk(1, plain, []Token{1}, []Token{2}),
-		mk(2, plain, []Token{1}, []Token{3}),
-		mk(3, crit, []Token{2, 3}, nil),
+		tasks = append(tasks, tk)
 	}
 
 	var buf bytes.Buffer
@@ -136,4 +133,50 @@ func TestReadDOTErrors(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// FuzzReadDOT: every input either fails to parse, or parses into nodes
+// whose edges are in range and which compile — each node writing its own
+// datum and reading its predecessors', the way the dot workload lowers
+// them — into a DAG that runs to completion. No input panics.
+func FuzzReadDOT(f *testing.F) {
+	f.Add("digraph g {\n  a -> b -> c;\n  a -> c;\n}\n")
+	f.Add("digraph tdg {\n  t0 [label=\"x\" type=\"spine\" criticality=2 cycles=100 mem_ps=10 io_ps=0];\n  t1 [cycles=5];\n  t0 -> t1;\n}\n")
+	f.Add("strict digraph {\n  node [shape=circle];\n  \"right node\" -> sink // c\n  sink -> \"right node\"\n}\n")
+	f.Add("digraph g {\n subgraph c { a; }\n}\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		nodes, err := ReadDOT(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		if len(nodes) == 0 {
+			t.Fatal("ReadDOT accepted a graph with no nodes")
+		}
+		var r Resolver
+		var ins []Token
+		for i, n := range nodes {
+			ins = ins[:0]
+			for _, p := range n.Preds {
+				if p < 0 || p >= len(nodes) {
+					t.Fatalf("node %d has predecessor %d out of range", i, p)
+				}
+				ins = append(ins, Token(p))
+			}
+			r.Add(ins, []Token{Token(i)})
+		}
+		var in Instance
+		in.Init(r.DAG())
+		var ready []*Task
+		g := New(func(t *Task) { ready = append(ready, t) })
+		submitAll(g, &in)
+		for len(ready) > 0 {
+			tk := ready[0]
+			ready = ready[1:]
+			g.Start(tk)
+			g.Complete(tk)
+		}
+		if !g.AllDone() || g.Completed() != len(nodes) {
+			t.Fatalf("compiled DOT graph drained %d of %d tasks", g.Completed(), len(nodes))
+		}
+	})
 }

@@ -2,13 +2,12 @@ package tdg
 
 import "fmt"
 
-// Graph is the runtime's task dependence graph. Tasks are submitted in
-// program order; the graph resolves data dependences into edges exactly as
-// OmpSs/OpenMP 4.0 do:
-//
-//   - an `in` on a datum depends on the datum's last writer (RAW);
-//   - an `out` on a datum depends on the last writer (WAW) and on every
-//     reader since that write (WAR), then becomes the new last writer.
+// Graph is the runtime's task dependence graph. Tasks enter it in program
+// order from a DAG Instance, whose edges a Resolver computed once, before
+// the run, from the program's data accesses (RAW/WAR/WAW, as OmpSs/OpenMP
+// 4.0 resolve them). A submitted task waits on each static predecessor
+// that has not completed yet; a predecessor that completed earlier (for
+// example before a barrier) was never a dependence to wait for.
 //
 // The graph also maintains each live task's bottom level incrementally and
 // reports how many nodes each submission visited, so the runtime can
@@ -25,12 +24,13 @@ import "fmt"
 // raise rather than once per path reaching it. SubmitVisited counts the
 // nodes the memoized walk actually examines.
 //
+// The graph keeps no index of tasks (no maps, no edge lists): what it
+// needs lives in the tasks and their instances, so a finished instance
+// becomes garbage once its owner drops it.
+//
 // Graph is not safe for concurrent use; the simulation is single-threaded.
 type Graph struct {
 	onReady func(*Task)
-
-	writers map[Token]*Task
-	readers map[Token][]*Task
 
 	submitted int
 	completed int
@@ -40,9 +40,8 @@ type Graph struct {
 	blCount []int32
 	maxBL   int64
 
-	// epoch stamps Task.mark for allocation-free per-submission dedup
-	// (dependence resolution and the raise frontier); stack is the
-	// reusable raise-walk worklist.
+	// epoch stamps Task.mark for allocation-free raise-frontier dedup;
+	// stack is the reusable raise-walk worklist.
 	epoch uint64
 	stack []*Task
 }
@@ -50,11 +49,7 @@ type Graph struct {
 // New returns an empty graph. onReady is invoked (synchronously, in
 // deterministic submission order) whenever a task becomes Ready.
 func New(onReady func(*Task)) *Graph {
-	return &Graph{
-		onReady: onReady,
-		writers: make(map[Token]*Task),
-		readers: make(map[Token][]*Task),
-	}
+	return &Graph{onReady: onReady}
 }
 
 // Submitted returns the number of tasks submitted so far.
@@ -69,39 +64,24 @@ func (g *Graph) Live() int { return g.submitted - g.completed }
 // AllDone reports whether every submitted task has completed.
 func (g *Graph) AllDone() bool { return g.submitted == g.completed }
 
-// Submit adds a task in program order, resolving its dependences. It
-// returns the number of TDG nodes visited while updating bottom levels
-// (>= 1), the quantity the bottom-level estimator's overhead is charged
-// on. The count reflects the memoized walk: completed suffixes and
-// already-frontier nodes are not re-visited. If the task has no
-// unresolved dependences it becomes Ready immediately and onReady fires
-// before Submit returns.
+// Submit adds the next task of its instance (Instance.Next), counting the
+// predecessors it must wait for. It returns the number of TDG nodes
+// visited while updating bottom levels (>= 1), the quantity the
+// bottom-level estimator's overhead is charged on. The count reflects the
+// memoized walk: completed suffixes and already-frontier nodes are not
+// re-visited. If the task has no unfinished predecessor it becomes Ready
+// immediately and onReady fires before Submit returns.
 func (g *Graph) Submit(t *Task) (visited int) {
-	if t.state != Waiting || t.nwait != 0 || len(t.preds) > 0 {
-		panic(fmt.Sprintf("tdg: resubmission of %v", t))
+	in := t.inst
+	if in == nil || t.state != Waiting || t.node != in.submitted {
+		panic(fmt.Sprintf("tdg: out-of-order submission or resubmission of %v", t))
 	}
+	in.submitted++
 	g.submitted++
-
-	// Resolve dependences. A predecessor may appear through several
-	// data; dedupe (epoch-stamped marks, no per-submit allocation) so
-	// nwait counts distinct tasks.
-	g.epoch++
-	for _, d := range t.Ins {
-		g.addEdge(t, g.writers[d])
-	}
-	for _, d := range t.Outs {
-		g.addEdge(t, g.writers[d])
-		for _, r := range g.readers[d] {
-			g.addEdge(t, r)
+	for _, p := range in.dag.Preds(int(t.node)) {
+		if in.tasks[p].state != Done {
+			t.nwait++
 		}
-	}
-	// Register accesses: readers accumulate until the next writer.
-	for _, d := range t.Ins {
-		g.readers[d] = append(g.readers[d], t)
-	}
-	for _, d := range t.Outs {
-		g.writers[d] = t
-		g.readers[d] = g.readers[d][:0]
 	}
 
 	// The new task is a leaf: BottomLevel 0. Its predecessors' bottom
@@ -114,18 +94,6 @@ func (g *Graph) Submit(t *Task) (visited int) {
 		g.makeReady(t)
 	}
 	return visited
-}
-
-// addEdge records a dependence of t on pred, deduplicating via the
-// current submission epoch.
-func (g *Graph) addEdge(t, pred *Task) {
-	if pred == nil || pred == t || pred.state == Done || pred.mark == g.epoch {
-		return
-	}
-	pred.mark = g.epoch
-	t.preds = append(t.preds, pred)
-	pred.succs = append(pred.succs, t)
-	t.nwait++
 }
 
 // raiseBL propagates a bottom-level increase from t to its ancestors,
@@ -145,7 +113,9 @@ func (g *Graph) raiseBL(t *Task) int {
 		stack = stack[:len(stack)-1]
 		n.mark = 0 // off the worklist; may be re-pushed by a later raise
 		need := n.BottomLevel + 1
-		for _, p := range n.preds {
+		in := n.inst
+		for _, pi := range in.dag.Preds(int(n.node)) {
+			p := &in.tasks[pi]
 			if p.state == Done {
 				continue // memoized: dead suffix, nothing live above it
 			}
@@ -212,9 +182,12 @@ func (g *Graph) Start(t *Task) {
 	t.state = Running
 }
 
-// Complete marks a Running task Done and releases its successors; each
-// successor whose last dependence this was becomes Ready (onReady fires in
-// edge insertion order). It returns the number of successors released.
+// Complete marks a Running task Done and releases its successors: the
+// prefix of its static successor list already submitted, each of which
+// waited on it. A successor whose last dependence this was becomes Ready
+// (onReady fires in program order). Successors submitted later find the
+// task Done and do not wait on it. It returns the number of successors
+// released.
 func (g *Graph) Complete(t *Task) int {
 	if t.state != Running {
 		panic(fmt.Sprintf("tdg: Complete on %v", t))
@@ -222,67 +195,18 @@ func (g *Graph) Complete(t *Task) int {
 	t.state = Done
 	g.completed++
 	g.decBL(t.BottomLevel)
-	released := 0
-	for _, s := range t.succs {
+	in := t.inst
+	limit := in.submitted
+	succs := in.dag.Succs(int(t.node))
+	released, k := 0, 0
+	for ; k < len(succs) && succs[k] < limit; k++ {
+		s := &in.tasks[succs[k]]
 		s.nwait--
 		if s.nwait == 0 {
 			released++
 			g.makeReady(s)
 		}
 	}
+	t.nsucc = int32(k)
 	return released
-}
-
-// Retire forgets the given dependence tokens: their last-writer and
-// reader entries are dropped, so a later access to one of them resolves
-// no dependence, and the completed tasks those entries pointed at become
-// unreachable from the graph. Every task that accessed a token must have
-// completed; retiring a token with a live accessor panics, since its
-// successors would silently lose that dependence. Duplicate tokens are
-// allowed. The open-system runtime retires a job's private tokens when
-// the job completes, which keeps a long run's graph bounded by the jobs
-// in flight rather than every job ever admitted.
-func (g *Graph) Retire(tokens []Token) {
-	for _, d := range tokens {
-		if w := g.writers[d]; w != nil && w.state != Done {
-			panic(fmt.Sprintf("tdg: Retire of token %d with live writer %v", d, w))
-		}
-		for _, r := range g.readers[d] {
-			if r.state != Done {
-				panic(fmt.Sprintf("tdg: Retire of token %d with live reader %v", d, r))
-			}
-		}
-		delete(g.writers, d)
-		delete(g.readers, d)
-	}
-}
-
-// CheckAcyclic walks the whole graph reachable from the given tasks and
-// panics if a dependence cycle exists. Submission order makes cycles
-// impossible by construction (edges always point from earlier to later
-// submissions); tests call this to enforce the invariant.
-func CheckAcyclic(tasks []*Task) {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make(map[*Task]int, len(tasks))
-	var visit func(t *Task)
-	visit = func(t *Task) {
-		switch color[t] {
-		case grey:
-			panic(fmt.Sprintf("tdg: dependence cycle through %v", t))
-		case black:
-			return
-		}
-		color[t] = grey
-		for _, s := range t.succs {
-			visit(s)
-		}
-		color[t] = black
-	}
-	for _, t := range tasks {
-		visit(t)
-	}
 }

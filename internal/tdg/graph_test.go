@@ -1,6 +1,7 @@
 package tdg
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,8 +12,25 @@ import (
 
 var testType = &TaskType{Name: "t"}
 
-func mkTask(id int, ins, outs []Token) *Task {
-	return &Task{ID: id, Type: testType, CPUCycles: 1000, Ins: ins, Outs: outs}
+// instance compiles a program of data accesses and returns a fresh
+// instance of it, its tasks numbered in program order.
+func instance(prog ...access) *Instance {
+	in := compileAccesses(prog)
+	for i := range in.tasks {
+		in.tasks[i].Type = testType
+		in.tasks[i].CPUCycles = 1000
+	}
+	return in
+}
+
+// toks is shorthand for a token list.
+func toks(ts ...Token) []Token { return ts }
+
+// submitAll submits every remaining task of the instance in order.
+func submitAll(g *Graph, in *Instance) {
+	for t := in.Next(); t != nil; t = in.Next() {
+		g.Submit(t)
+	}
 }
 
 // collectReady returns a graph plus a pointer to the slice of tasks that
@@ -37,8 +55,8 @@ func runAll(g *Graph, ready *[]*Task) []*Task {
 
 func TestRAWDependence(t *testing.T) {
 	g, ready := collectReady()
-	w := mkTask(0, nil, []Token{1})
-	r := mkTask(1, []Token{1}, nil)
+	in := instance(access{nil, toks(1)}, access{toks(1), nil})
+	w, r := in.Task(0), in.Task(1)
 	g.Submit(w)
 	g.Submit(r)
 	if len(*ready) != 1 || (*ready)[0] != w {
@@ -58,13 +76,9 @@ func TestRAWDependence(t *testing.T) {
 
 func TestWAWAndWARDependences(t *testing.T) {
 	g, _ := collectReady()
-	w1 := mkTask(0, nil, []Token{1})
-	r1 := mkTask(1, []Token{1}, nil)
-	r2 := mkTask(2, []Token{1}, nil)
-	w2 := mkTask(3, nil, []Token{1})
-	for _, task := range []*Task{w1, r1, r2, w2} {
-		g.Submit(task)
-	}
+	in := instance(access{nil, toks(1)}, access{toks(1), nil}, access{toks(1), nil}, access{nil, toks(1)})
+	r1, r2, w2 := in.Task(1), in.Task(2), in.Task(3)
+	submitAll(g, in)
 	// w2 must wait for w1 (WAW) and both readers (WAR).
 	if w2.nwait != 3 {
 		t.Fatalf("w2 waits on %d tasks, want 3 (WAW + 2×WAR)", w2.nwait)
@@ -77,14 +91,10 @@ func TestWAWAndWARDependences(t *testing.T) {
 
 func TestReadersResetAfterWrite(t *testing.T) {
 	g, _ := collectReady()
-	w1 := mkTask(0, nil, []Token{1})
-	r1 := mkTask(1, []Token{1}, nil)
-	w2 := mkTask(2, nil, []Token{1})
-	r2 := mkTask(3, []Token{1}, nil)
-	w3 := mkTask(4, nil, []Token{1})
-	for _, task := range []*Task{w1, r1, w2, r2, w3} {
-		g.Submit(task)
-	}
+	in := instance(access{nil, toks(1)}, access{toks(1), nil}, access{nil, toks(1)},
+		access{toks(1), nil}, access{nil, toks(1)})
+	r1, w3 := in.Task(1), in.Task(4)
+	submitAll(g, in)
 	// w3 depends on w2 (WAW) and r2 (WAR) but NOT on r1 — r1 precedes w2.
 	if w3.nwait != 2 {
 		t.Fatalf("w3 waits on %d, want 2", w3.nwait)
@@ -98,12 +108,10 @@ func TestReadersResetAfterWrite(t *testing.T) {
 
 func TestInoutDependence(t *testing.T) {
 	g, _ := collectReady()
-	a := mkTask(0, []Token{1}, []Token{1}) // inout
-	b := mkTask(1, []Token{1}, []Token{1}) // inout
-	c := mkTask(2, []Token{1}, []Token{1}) // inout
-	g.Submit(a)
-	g.Submit(b)
-	g.Submit(c)
+	inout := access{toks(1), toks(1)}
+	in := instance(inout, inout, inout)
+	a, b, c := in.Task(0), in.Task(1), in.Task(2)
+	submitAll(g, in)
 	// Inout chains serialize: c waits only on b, b only on a.
 	if a.nwait != 0 || b.nwait != 1 || c.nwait != 1 {
 		t.Fatalf("inout chain nwait = %d/%d/%d, want 0/1/1", a.nwait, b.nwait, c.nwait)
@@ -112,38 +120,41 @@ func TestInoutDependence(t *testing.T) {
 
 func TestEdgeDedupe(t *testing.T) {
 	g, _ := collectReady()
-	w := mkTask(0, nil, []Token{1, 2, 3})
-	r := mkTask(1, []Token{1, 2, 3}, nil)
-	g.Submit(w)
-	g.Submit(r)
+	in := instance(access{nil, toks(1, 2, 3)}, access{toks(1, 2, 3), nil})
+	w, r := in.Task(0), in.Task(1)
+	submitAll(g, in)
 	if r.nwait != 1 {
 		t.Fatalf("nwait = %d: duplicate edges not deduped", r.nwait)
 	}
-	if len(w.Succs()) != 1 {
-		t.Fatalf("writer succs = %d, want 1", len(w.Succs()))
+	if len(w.Succs()) != 1 || len(r.Preds()) != 1 {
+		t.Fatalf("writer succs = %d, reader preds = %d, want 1/1", len(w.Succs()), len(r.Preds()))
 	}
 }
 
 func TestDependenceOnDoneTaskIgnored(t *testing.T) {
 	g, ready := collectReady()
-	w := mkTask(0, nil, []Token{1})
+	in := instance(access{nil, toks(1)}, access{toks(1), nil})
+	w, r := in.Task(0), in.Task(1)
 	g.Submit(w)
 	runAll(g, ready)
-	r := mkTask(1, []Token{1}, nil)
 	g.Submit(r)
-	if r.State() != Ready {
-		t.Fatalf("reader of completed writer should be ready, got %v", r.State())
+	if r.State() != Ready || r.nwait != 0 {
+		t.Fatalf("reader of completed writer should be ready, got %v (nwait %d)", r.State(), r.nwait)
+	}
+	// The static edge stays in the DAG, but the writer completed before
+	// the reader was submitted, so the reader never waited on it.
+	if len(r.Preds()) != 1 || len(w.Succs()) != 0 {
+		t.Fatalf("reader preds %d, writer released %d successors, want 1/0", len(r.Preds()), len(w.Succs()))
 	}
 }
 
 func TestBottomLevelChain(t *testing.T) {
 	g, _ := collectReady()
 	// Chain t0 <- t1 <- t2 (via inout token), submitted in order.
-	ts := make([]*Task, 3)
-	for i := range ts {
-		ts[i] = mkTask(i, []Token{1}, []Token{1})
-		g.Submit(ts[i])
-	}
+	inout := access{toks(1), toks(1)}
+	in := instance(inout, inout, inout)
+	submitAll(g, in)
+	ts := []*Task{in.Task(0), in.Task(1), in.Task(2)}
 	// Figure 1 numbering: leaf 0, each ancestor +1.
 	if ts[0].BottomLevel != 2 || ts[1].BottomLevel != 1 || ts[2].BottomLevel != 0 {
 		t.Fatalf("BLs = %d,%d,%d, want 2,1,0",
@@ -156,13 +167,9 @@ func TestBottomLevelChain(t *testing.T) {
 
 func TestBottomLevelDiamond(t *testing.T) {
 	g, _ := collectReady()
-	top := mkTask(0, nil, []Token{1})
-	left := mkTask(1, []Token{1}, []Token{2})
-	right := mkTask(2, []Token{1}, []Token{3})
-	bottom := mkTask(3, []Token{2, 3}, nil)
-	for _, task := range []*Task{top, left, right, bottom} {
-		g.Submit(task)
-	}
+	in := instance(access{nil, toks(1)}, access{toks(1), toks(2)}, access{toks(1), toks(3)}, access{toks(2, 3), nil})
+	top, left, right, bottom := in.Task(0), in.Task(1), in.Task(2), in.Task(3)
+	submitAll(g, in)
 	if bottom.BottomLevel != 0 || left.BottomLevel != 1 || right.BottomLevel != 1 {
 		t.Fatalf("BLs wrong: bottom=%d left=%d right=%d",
 			bottom.BottomLevel, left.BottomLevel, right.BottomLevel)
@@ -174,9 +181,8 @@ func TestBottomLevelDiamond(t *testing.T) {
 
 func TestMaxLiveBLDropsOnCompletion(t *testing.T) {
 	g, ready := collectReady()
-	for i := 0; i < 4; i++ {
-		g.Submit(mkTask(i, []Token{1}, []Token{1}))
-	}
+	inout := access{toks(1), toks(1)}
+	submitAll(g, instance(inout, inout, inout, inout))
 	if g.MaxLiveBL() != 3 {
 		t.Fatalf("MaxLiveBL = %d, want 3", g.MaxLiveBL())
 	}
@@ -192,12 +198,14 @@ func TestMaxLiveBLDropsOnCompletion(t *testing.T) {
 
 func TestVisitedCount(t *testing.T) {
 	g, _ := collectReady()
-	if v := g.Submit(mkTask(0, nil, []Token{1})); v != 1 {
+	inout := access{toks(1), toks(1)}
+	in := instance(access{nil, toks(1)}, inout, inout)
+	if v := g.Submit(in.Task(0)); v != 1 {
 		t.Fatalf("independent task visited %d, want 1", v)
 	}
 	// Chain: each new tail forces BL propagation up the whole chain.
-	g.Submit(mkTask(1, []Token{1}, []Token{1}))
-	v := g.Submit(mkTask(2, []Token{1}, []Token{1}))
+	g.Submit(in.Task(1))
+	v := g.Submit(in.Task(2))
 	if v < 3 {
 		t.Fatalf("chain tail visited %d nodes, want >= 3 (propagation)", v)
 	}
@@ -207,9 +215,11 @@ func TestVisitedCount(t *testing.T) {
 // new tail's submission must not re-walk the dead suffix above it.
 func TestVisitedPrunesDoneAncestors(t *testing.T) {
 	g, ready := collectReady()
+	inout := access{toks(1), toks(1)}
+	in := instance(inout, inout, inout, inout, inout, inout)
 	chain := make([]*Task, 5)
 	for i := range chain {
-		chain[i] = mkTask(i, []Token{1}, []Token{1})
+		chain[i] = in.Task(i)
 		g.Submit(chain[i])
 	}
 	// Complete the three oldest chain links.
@@ -223,7 +233,7 @@ func TestVisitedPrunesDoneAncestors(t *testing.T) {
 	// task 4 is task 3, so the walk examines exactly: the tail's pred
 	// edge (t4), then t4's pred edge (t3), then t3's edges to Done tasks
 	// — pruned. visited = 1 (self) + 2.
-	v := g.Submit(mkTask(5, []Token{1}, []Token{1}))
+	v := g.Submit(in.Task(5))
 	if v != 3 {
 		t.Fatalf("tail after 3 completions visited %d, want 3 (Done suffix pruned)", v)
 	}
@@ -239,13 +249,16 @@ func TestBottomLevelMatchesRecompute(t *testing.T) {
 	rng := xrand.New(99)
 	for trial := 0; trial < 50; trial++ {
 		g, ready := collectReady()
+		// Each task reads and writes a couple of random tokens out of a
+		// small pool, building dense shared structure.
+		prog := make([]access, 60)
+		for i := range prog {
+			prog[i] = access{toks(Token(rng.Intn(6))), toks(Token(rng.Intn(6)))}
+		}
+		in := instance(prog...)
 		var all []*Task
-		for i := 0; i < 60; i++ {
-			// Each task reads and writes a couple of random tokens out of
-			// a small pool, building dense shared structure.
-			ins := []Token{Token(rng.Intn(6))}
-			outs := []Token{Token(rng.Intn(6))}
-			task := mkTask(i, ins, outs)
+		for i := range prog {
+			task := in.Task(i)
 			all = append(all, task)
 			g.Submit(task)
 			// Occasionally run a ready task to completion, creating Done
@@ -266,7 +279,7 @@ func TestBottomLevelMatchesRecompute(t *testing.T) {
 					return v
 				}
 				var m int64
-				for _, s := range n.succs {
+				for _, s := range n.Succs() {
 					if v := bl(s) + 1; v > m {
 						m = v
 					}
@@ -297,11 +310,13 @@ func TestBottomLevelMatchesRecompute(t *testing.T) {
 
 func TestReadyOrderDeterministic(t *testing.T) {
 	g, ready := collectReady()
-	w := mkTask(0, nil, []Token{1})
+	rd := access{toks(1), nil}
+	in := instance(access{nil, toks(1)}, rd, rd, rd, rd, rd)
+	w := in.Task(0)
 	g.Submit(w)
 	succs := make([]*Task, 5)
 	for i := range succs {
-		succs[i] = mkTask(i+1, []Token{1}, nil)
+		succs[i] = in.Task(i + 1)
 		g.Submit(succs[i])
 	}
 	g.Start(w)
@@ -316,9 +331,11 @@ func TestReadyOrderDeterministic(t *testing.T) {
 
 func TestCountsAndAllDone(t *testing.T) {
 	g, ready := collectReady()
-	for i := 0; i < 10; i++ {
-		g.Submit(mkTask(i, []Token{1}, []Token{1}))
+	prog := make([]access, 10)
+	for i := range prog {
+		prog[i] = access{toks(1), toks(1)}
 	}
+	submitAll(g, instance(prog...))
 	if g.Submitted() != 10 || g.Completed() != 0 || g.Live() != 10 || g.AllDone() {
 		t.Fatal("counters wrong after submit")
 	}
@@ -333,19 +350,28 @@ func TestCountsAndAllDone(t *testing.T) {
 
 func TestResubmitPanics(t *testing.T) {
 	g, _ := collectReady()
-	task := mkTask(0, nil, nil)
+	in := instance(access{}, access{})
+	task := in.Task(0)
 	g.Submit(task)
+	mustPanic(t, "resubmit", func() { g.Submit(task) })
+	fresh := instance(access{}, access{})
+	mustPanic(t, "out-of-order submit", func() { g.Submit(fresh.Task(1)) })
+	mustPanic(t, "submit of a task outside any instance", func() { g.Submit(&Task{}) })
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("resubmit did not panic")
+			t.Fatalf("%s did not panic", what)
 		}
 	}()
-	g.Submit(task)
+	f()
 }
 
 func TestStartCompleteStateChecks(t *testing.T) {
 	g, _ := collectReady()
-	task := mkTask(0, nil, nil)
+	task := instance(access{}).Task(0)
 	g.Submit(task)
 	g.Start(task)
 	func() {
@@ -374,11 +400,10 @@ func TestTaskDuration(t *testing.T) {
 
 func TestWriteDOT(t *testing.T) {
 	g, _ := collectReady()
-	a := mkTask(0, nil, []Token{1})
-	b := mkTask(1, []Token{1}, nil)
+	in := instance(access{nil, toks(1)}, access{toks(1), nil})
+	a, b := in.Task(0), in.Task(1)
 	b.Critical = true
-	g.Submit(a)
-	g.Submit(b)
+	submitAll(g, in)
 	var sb strings.Builder
 	if err := WriteDOT(&sb, []*Task{a, b}); err != nil {
 		t.Fatal(err)
@@ -391,19 +416,27 @@ func TestWriteDOT(t *testing.T) {
 	}
 }
 
-// buildRandom constructs a random program over nTokens data and returns
-// its tasks after submission.
-func buildRandom(g *Graph, rng *xrand.Source, n, nTokens int) []*Task {
-	tasks := make([]*Task, n)
-	for i := 0; i < n; i++ {
-		var ins, outs []Token
+// randomProgram draws n tasks' accesses over nTokens data.
+func randomProgram(rng *xrand.Source, n, nTokens int) []access {
+	prog := make([]access, n)
+	for i := range prog {
 		for k := 0; k < rng.Intn(3); k++ {
-			ins = append(ins, Token(rng.Intn(nTokens)))
+			prog[i].ins = append(prog[i].ins, Token(rng.Intn(nTokens)))
 		}
 		for k := 0; k < rng.Intn(2); k++ {
-			outs = append(outs, Token(rng.Intn(nTokens)))
+			prog[i].outs = append(prog[i].outs, Token(rng.Intn(nTokens)))
 		}
-		tasks[i] = mkTask(i, ins, outs)
+	}
+	return prog
+}
+
+// buildRandom compiles a random program over nTokens data and returns
+// its tasks after submission.
+func buildRandom(g *Graph, rng *xrand.Source, n, nTokens int) []*Task {
+	in := instance(randomProgram(rng, n, nTokens)...)
+	tasks := make([]*Task, n)
+	for i := range tasks {
+		tasks[i] = in.Task(i)
 		g.Submit(tasks[i])
 	}
 	return tasks
@@ -416,7 +449,14 @@ func TestRandomProgramsDrainInDependenceOrder(t *testing.T) {
 		rng := xrand.New(seed)
 		g, ready := collectReady()
 		tasks := buildRandom(g, rng, 50+rng.Intn(100), 1+rng.Intn(8))
-		CheckAcyclic(tasks)
+		// Acyclic by construction: every edge points to a later task.
+		for _, task := range tasks {
+			for _, p := range task.Preds() {
+				if p.ID >= task.ID {
+					return false
+				}
+			}
+		}
 		pos := make(map[*Task]int)
 		order := runAll(g, ready)
 		if len(order) != len(tasks) || !g.AllDone() {
@@ -485,49 +525,141 @@ func TestBottomLevelInvariants(t *testing.T) {
 	}
 }
 
-// TestRetiredTokensCreateNoEdges: once a job's tokens are retired the
-// graph holds no entry for them, so a later access resolves no
-// dependence and the retired tasks are unreachable from the graph.
-func TestRetiredTokensCreateNoEdges(t *testing.T) {
+// TestJobsFromOneTemplateShareNoEdges: two instances of one DAG — two
+// jobs built from the same template, alive in one graph — share no task
+// and no edge: each task waits only on its own instance's predecessors,
+// and completing one job's tasks releases nothing in the other.
+func TestJobsFromOneTemplateShareNoEdges(t *testing.T) {
+	var r Resolver
+	r.Add(nil, toks(1))
+	r.Add(toks(1), toks(2))
+	r.Add(toks(2), nil)
+	dag := r.DAG()
+	var a, b Instance
+	a.Init(dag)
+	b.Init(dag)
+
 	g, ready := collectReady()
-	w := mkTask(0, nil, []Token{1, 2})
-	r := mkTask(1, []Token{1}, []Token{3})
-	g.Submit(w)
-	g.Submit(r)
-	runAll(g, ready)
-	g.Retire([]Token{1, 2, 3, 1}) // duplicates are allowed
-	if len(g.writers) != 0 || len(g.readers) != 0 {
-		t.Fatalf("retired tokens still mapped: %d writers, %d readers", len(g.writers), len(g.readers))
-	}
-	for _, tok := range []Token{1, 2, 3} {
-		n := mkTask(2+int(tok), []Token{tok}, []Token{tok})
-		g.Submit(n)
-		if len(n.Preds()) != 0 || n.State() != Ready {
-			t.Fatalf("access to retired token %d: preds %v, state %v", tok, n.Preds(), n.State())
+	submitAll(g, &a)
+	submitAll(g, &b)
+	for i := 0; i < dag.Len(); i++ {
+		ta, tb := a.Task(i), b.Task(i)
+		if ta == tb {
+			t.Fatalf("task %d shared between instances", i)
+		}
+		for _, p := range ta.Preds() {
+			if p.inst != &a {
+				t.Fatalf("job a task %d has a predecessor in another instance", i)
+			}
+		}
+		for _, p := range tb.Preds() {
+			if p.inst != &b {
+				t.Fatalf("job b task %d has a predecessor in another instance", i)
+			}
 		}
 	}
-	if len(w.Succs()) != 1 || len(r.Succs()) != 0 {
-		t.Fatalf("retired tasks gained successors: writer %v, reader %v", w.Succs(), r.Succs())
+	if len(*ready) != 2 || (*ready)[0] != a.Task(0) || (*ready)[1] != b.Task(0) {
+		t.Fatalf("ready = %v, want each job's head", *ready)
+	}
+	// Drain job a alone: job b's waiting tasks must not move.
+	*ready = (*ready)[:1]
+	runAll(g, ready)
+	for i := 0; i < dag.Len(); i++ {
+		if a.Task(i).State() != Done {
+			t.Fatalf("job a task %d is %v after draining a", i, a.Task(i).State())
+		}
+		if got := len(a.Task(i).Succs()); got != len(dag.Succs(i)) {
+			t.Fatalf("job a task %d released %d successors, want %d", i, got, len(dag.Succs(i)))
+		}
+	}
+	if b.Task(1).State() != Waiting || b.Task(1).nwait != 1 || b.Task(2).nwait != 1 {
+		t.Fatalf("job b moved when job a completed: %v nwait %d/%d", b.Task(1).State(), b.Task(1).nwait, b.Task(2).nwait)
+	}
+	*ready = append((*ready)[:0], b.Task(0))
+	runAll(g, ready)
+	if !g.AllDone() || g.Completed() != 2*dag.Len() {
+		t.Fatalf("graph not drained: %d of %d", g.Completed(), 2*dag.Len())
 	}
 }
 
-func TestRetireLiveTokenPanics(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		task *Task
-	}{
-		{"writer", mkTask(0, nil, []Token{1})},
-		{"reader", mkTask(0, []Token{1}, nil)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			g, _ := collectReady()
-			g.Submit(tc.task)
-			defer func() {
-				if recover() == nil {
-					t.Fatal("Retire of a token with a live accessor did not panic")
-				}
-			}()
-			g.Retire([]Token{1})
-		})
+// TestResolverReuseIsBounded: a Resolver reused across programs resets
+// between them, producing the same DAG as a fresh one, and drops scratch
+// that grew past maxRetainedScratch instead of keeping it.
+func TestResolverReuseIsBounded(t *testing.T) {
+	var reused Resolver
+	for round := 0; round < 3; round++ {
+		rng := xrand.New(uint64(round))
+		prog := randomProgram(rng, 200, 7)
+		var fresh Resolver
+		for _, a := range prog {
+			reused.Add(a.ins, a.outs)
+			fresh.Add(a.ins, a.outs)
+		}
+		got, want := reused.DAG(), fresh.DAG()
+		if !slices.Equal(got.preds, want.preds) || !slices.Equal(got.predOff, want.predOff) ||
+			!slices.Equal(got.succs, want.succs) || !slices.Equal(got.succOff, want.succOff) {
+			t.Fatalf("round %d: reused resolver's DAG differs from a fresh one", round)
+		}
+	}
+	if cap(reused.writer) == 0 {
+		t.Fatal("small programs should keep their scratch for reuse")
+	}
+	for i := 0; i <= maxRetainedScratch; i++ {
+		reused.Add(nil, toks(Token(i)))
+	}
+	if d := reused.DAG(); d.Len() != maxRetainedScratch+1 || len(d.preds) != 0 {
+		t.Fatalf("wide program: %d tasks, %d edges", d.Len(), len(d.preds))
+	}
+	if reused.slot != nil || cap(reused.writer) != 0 || cap(reused.ends) != 0 {
+		t.Fatal("scratch beyond maxRetainedScratch was kept")
+	}
+}
+
+// TestCompileMatchesReference runs the reference oracle over seeded
+// random programs and schedules, so plain `go test` covers more than the
+// fuzz target's seed corpus.
+func TestCompileMatchesReference(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		rng := xrand.New(seed)
+		prog := randomProgram(rng, 1+rng.Intn(60), 1+rng.Intn(8))
+		schedule := make([]byte, rng.Intn(3*len(prog)))
+		for i := range schedule {
+			schedule[i] = byte(rng.Intn(256))
+		}
+		if err := checkAgainstReference(prog, schedule); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestSteadyStateZeroAllocs pins the compiled path's per-task cost:
+// once the graph's bookkeeping has grown to the program's shape,
+// submitting, starting and completing a task allocates nothing.
+func TestSteadyStateZeroAllocs(t *testing.T) {
+	const n = 4000
+	prog := make([]access, n)
+	for j := range prog {
+		prog[j] = access{toks(Token(j % 8)), toks(Token((j + 3) % 8))}
+	}
+	in := instance(prog...)
+	ready := make([]*Task, 0, n)
+	g := New(func(t *Task) { ready = append(ready, t) })
+	head := 0
+	step := func() {
+		g.Submit(in.Next())
+		if head < len(ready) {
+			g.Start(ready[head])
+			g.Complete(ready[head])
+			head++
+		}
+	}
+	for i := 0; i < n/4; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(n/2, step); allocs != 0 {
+		t.Fatalf("submit+start+complete allocated %v times per task, want 0", allocs)
+	}
+	if head == 0 {
+		t.Fatal("no task completed")
 	}
 }

@@ -74,10 +74,6 @@ type Task struct {
 	MemTime   sim.Time
 	IOTime    sim.Time
 
-	// Ins and Outs are the task's data dependences. A datum appearing in
-	// both is an inout dependence.
-	Ins, Outs []Token
-
 	// Critical is decided by the criticality estimator when the task is
 	// dispatched (static annotations or bottom-level).
 	Critical bool
@@ -88,10 +84,11 @@ type Task struct {
 	BottomLevel int64
 
 	state State
-	preds []*Task
-	succs []*Task
-	nwait int    // unresolved predecessor count
-	mark  uint64 // graph-epoch stamp for allocation-free submission dedup
+	inst  *Instance // the DAG instance the task belongs to
+	node  int32     // the task's index in inst
+	nsucc int32     // successors released at Complete
+	nwait int       // unfinished predecessor count
+	mark  uint64    // graph-epoch stamp for the raise walk's frontier dedup
 
 	// Timeline bookkeeping, filled by the runtime.
 	SubmittedAt sim.Time
@@ -104,13 +101,34 @@ type Task struct {
 // State returns the task's lifecycle state.
 func (t *Task) State() State { return t.state }
 
-// Preds returns the predecessor tasks (dependences this task waits on).
-// The returned slice is owned by the graph; callers must not modify it.
-func (t *Task) Preds() []*Task { return t.preds }
+// Preds returns the task's static predecessors in its program's DAG, in
+// discovery order. This includes predecessors that had already completed
+// when the task was submitted, which it never waited on. The slice is
+// freshly allocated.
+func (t *Task) Preds() []*Task {
+	if t.inst == nil {
+		return nil
+	}
+	return t.inst.tasksAt(t.inst.dag.Preds(int(t.node)))
+}
 
-// Succs returns the successor tasks. The returned slice is owned by the
-// graph; callers must not modify it.
-func (t *Task) Succs() []*Task { return t.succs }
+// Succs returns the successors that waited on the task, in program
+// order: for a completed task, those it released at Complete; for a live
+// one, every successor submitted so far. The slice is freshly allocated.
+func (t *Task) Succs() []*Task {
+	if t.inst == nil {
+		return nil
+	}
+	succs := t.inst.dag.Succs(int(t.node))
+	n := int(t.nsucc)
+	if t.state != Done {
+		n = 0
+		for n < len(succs) && succs[n] < t.inst.submitted {
+			n++
+		}
+	}
+	return t.inst.tasksAt(succs[:n])
+}
 
 // Duration returns the task's execution time at frequency f, excluding
 // IOTime: cycles at f plus the frequency-invariant memory time.

@@ -38,11 +38,15 @@ func recordRun(t *testing.T) ([]*tdg.Task, *probe.Buffer) {
 	for i := 0; i < 6; i++ {
 		p.AddTask(program.TaskSpec{Type: tt, CPUCycles: 200_000})
 	}
+	c, err := program.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := rts.DefaultOptions()
 	opts.RetainTasks = true
 	r, err := rts.New(eng, rts.Config{
 		Machine: m,
-		Program: p,
+		Program: c,
 		NewScheduler: func(info sched.CoreInfo) sched.Scheduler {
 			return sched.NewCATS(info)
 		},

@@ -30,11 +30,15 @@ func runRetained(t *testing.T) []*tdg.Task {
 	for i := 0; i < 10; i++ {
 		p.AddTask(program.TaskSpec{Type: tt, CPUCycles: 200_000})
 	}
+	c, err := program.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := rts.DefaultOptions()
 	opts.RetainTasks = true
 	r, err := rts.New(eng, rts.Config{
 		Machine: m,
-		Program: p,
+		Program: c,
 		NewScheduler: func(info sched.CoreInfo) sched.Scheduler {
 			return sched.NewFIFO(info)
 		},
