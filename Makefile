@@ -26,7 +26,7 @@ COVER_FLOOR ?= 75.0
 # reference resolver, and the DOT and JSON trace parsers).
 FUZZTIME ?= 30s
 
-.PHONY: all build test bench bench-capture bench-check vet fmt fmt-check smoke catad-smoke policies-smoke opensys-smoke fuzz-smoke cover cover-check lint docs-check ci
+.PHONY: all build test bench bench-capture bench-check perfbench-check vet fmt fmt-check smoke catad-smoke policies-smoke opensys-smoke fuzz-smoke cover cover-check lint docs-check ci
 
 all: build
 
@@ -58,6 +58,12 @@ bench-check:
 	$(GO) run ./cmd/catabench -out $(BENCH_OUT) \
 		$(if $(BENCH_PROFILES),-cpuprofile $(BENCH_PROFILES) -memprofile $(BENCH_PROFILES))
 	$(GO) run ./cmd/catabench -compare $(BENCH_BASE) -against $(BENCH_OUT) -tol $(BENCH_TOL) -gate $(BENCH_GATE)
+
+# perfbench is a module of its own (cata/perfbench), so the root
+# build, vet and test never compile it; this keeps an internal API
+# change from silently breaking the repository benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...
@@ -140,6 +146,6 @@ docs-check:
 # tool installs (lint degrades gracefully when staticcheck/govulncheck
 # are absent). Short fuzz budget and the portable bench gate keep it
 # runnable on any hardware.
-ci: fmt-check build lint test smoke catad-smoke policies-smoke opensys-smoke cover-check docs-check
+ci: fmt-check build lint test perfbench-check smoke catad-smoke policies-smoke opensys-smoke cover-check docs-check
 	$(MAKE) fuzz-smoke FUZZTIME=10s
 	$(MAKE) bench-check BENCH_GATE=portable

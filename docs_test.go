@@ -2,10 +2,16 @@ package cata_test
 
 import (
 	"os"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
 	"cata"
+	_ "cata/internal/batch" // registers the cache and sweep metrics
+	_ "cata/internal/exp"   // registers the simulator and open-system metrics
+	_ "cata/internal/jobs"  // registers the job queue metrics
+	"cata/internal/metrics"
 )
 
 // readDoc loads a repository markdown file for drift checks.
@@ -67,6 +73,36 @@ func TestREADMEListsEveryPolicy(t *testing.T) {
 	want := strings.TrimSpace(policyTable())
 	if got != want {
 		t.Errorf("README.md policy table has drifted from cata.PolicyDocs.\nExpected table between the markers:\n\n%s", want)
+	}
+}
+
+// TestArchitectureListsEveryMetric: the ARCHITECTURE "Telemetry" table
+// names exactly the metrics the default registry exposes, so a metric
+// cannot ship undocumented and the table cannot keep a deleted one.
+func TestArchitectureListsEveryMetric(t *testing.T) {
+	var exposition strings.Builder
+	if err := metrics.Default.Write(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	var registered []string
+	for _, line := range strings.Split(exposition.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			registered = append(registered, f[2])
+		}
+	}
+	doc := readDoc(t, "ARCHITECTURE.md")
+	i := strings.Index(doc, "| Layer | Metrics |")
+	if i < 0 {
+		t.Fatal("ARCHITECTURE.md lacks the Telemetry table (| Layer | Metrics |)")
+	}
+	table, _, _ := strings.Cut(doc[i:], "\n\n")
+	var documented []string
+	for _, m := range regexp.MustCompile("`(cata_[a-z0-9_]+)").FindAllStringSubmatch(table, -1) {
+		documented = append(documented, m[1])
+	}
+	sort.Strings(documented)
+	if got, want := strings.Join(documented, "\n"), strings.Join(registered, "\n"); got != want {
+		t.Errorf("ARCHITECTURE.md Telemetry table has drifted from the registry.\nDocumented:\n%s\n\nRegistered:\n%s", got, want)
 	}
 }
 

@@ -240,6 +240,52 @@ func TestCacheIgnoresTruncatedLine(t *testing.T) {
 	}
 }
 
+// TestCacheAppendAfterTruncatedLine: a record put after reopening a
+// cache whose last line was torn must survive the next reopen, not be
+// glued onto the fragment and skipped with it.
+func TestCacheAppendAfterTruncatedLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	c, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("a", 1); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"key":"b","val`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	c, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("c", 3); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	c, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, k := range []string{"a", "c"} {
+		if _, ok := c.Get(k); !ok {
+			t.Errorf("record %q lost after a torn line", k)
+		}
+	}
+	if _, ok := c.Get("b"); ok || c.Len() != 2 {
+		t.Errorf("got %d entries (b loaded: %v), want a and c only", c.Len(), ok)
+	}
+}
+
 // TestProgressStream: progress lines reach the writer with counts, the
 // resume summary, failures, and the caller's note.
 func TestProgressStream(t *testing.T) {

@@ -26,7 +26,9 @@ func Key(v any) (string, error) {
 // Cache is an append-only JSONL store of successful results keyed by
 // content-addressed spec hashes. Each line is a self-contained
 // {"key":…,"value":…} record, so a run killed mid-write loses at most
-// its final, partial line — Open skips lines that fail to parse.
+// its final, partial line: Open skips lines that fail to parse, and ends
+// a trailing fragment with a newline before anything is appended, so the
+// next record starts a line of its own.
 type Cache struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -59,7 +61,25 @@ func Open(path string) (*Cache, error) {
 		f.Close()
 		return nil, fmt.Errorf("batch: reading cache: %w", err)
 	}
+	if err := terminateFragment(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("batch: repairing cache: %w", err)
+	}
 	return c, nil
+}
+
+// terminateFragment appends a newline when f does not end with one.
+func terminateFragment(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil || fi.Size() == 0 {
+		return err
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, fi.Size()-1); err != nil || last[0] == '\n' {
+		return err
+	}
+	_, err = f.Write([]byte{'\n'})
+	return err
 }
 
 // Get returns the cached value for key.

@@ -70,12 +70,8 @@ type Framework struct {
 
 	hkArmed      bool
 	hkLastWrites int64
-	hkGrantedCb  func() // housekeeping took the lock: hold it
-	hkHeldCb     func() // hold elapsed: release, maybe re-arm
-	housekeepCb  func()
 
-	// ops holds one in-flight write per calling core, with its stage
-	// continuations built once at construction.
+	// ops holds one in-flight write per calling core.
 	ops []writeOp
 
 	// rec, when non-nil, receives one WriteEvent per completed policy
@@ -83,27 +79,36 @@ type Framework struct {
 	rec probe.Recorder
 }
 
-// writeOp is one core's policy write in flight. Its stages are method
-// values allocated once, so a write schedules its events without
-// allocating.
+// writeOp is one core's policy write in flight; a pending done marks it
+// busy. It is the target of its own stage events, so a write schedules
+// them without allocating.
 type writeOp struct {
 	f      *Framework
 	caller int
 	core   *machine.Core
-	busy   bool
 
 	target    int
 	level     energy.Level
-	done      func()
+	done      sim.Event
 	start     sim.Time
 	lockStart sim.Time
 	lockWait  sim.Time
-
-	enteredCb  func() // kernel entered: take the driver lock
-	grantedCb  func() // lock granted: run the driver
-	drivenCb   func() // driver done: kick DVFS, unlock, return
-	returnedCb func() // back in user space: account and finish
 }
+
+// Framework ops: the periodic housekeeping path.
+const (
+	opHousekeep uint8 = iota // period elapsed: take the policy lock
+	opHkGranted              // lock taken: hold it
+	opHkHeld                 // hold elapsed: release, maybe re-arm
+)
+
+// writeOp ops: the stages of one policy write.
+const (
+	opEntered  uint8 = iota // kernel entered: take the driver lock
+	opGranted               // lock granted: run the driver
+	opDriven                // driver done: kick DVFS, unlock, return
+	opReturned              // back in user space: account and finish
+)
 
 // New returns a framework bound to the machine.
 func New(eng *sim.Engine, mach *machine.Machine, costs Costs) *Framework {
@@ -115,18 +120,8 @@ func New(eng *sim.Engine, mach *machine.Machine, costs Costs) *Framework {
 		perCaller: make([]stats.DurationSummary, mach.Cores()),
 		ops:       make([]writeOp, mach.Cores()),
 	}
-	f.hkGrantedCb = f.housekeepGranted
-	f.hkHeldCb = f.housekeepHeld
-	f.housekeepCb = f.housekeep
 	for i := range f.ops {
-		op := &f.ops[i]
-		op.f = f
-		op.caller = i
-		op.core = mach.Core(i)
-		op.enteredCb = op.entered
-		op.grantedCb = op.granted
-		op.drivenCb = op.driven
-		op.returnedCb = op.returned
+		f.ops[i] = writeOp{f: f, caller: i, core: mach.Core(i)}
 	}
 	return f
 }
@@ -142,27 +137,30 @@ func (f *Framework) armHousekeeping() {
 		return
 	}
 	f.hkArmed = true
-	f.eng.After(f.costs.HousekeepPeriod/3, f.housekeepCb)
+	f.eng.After(f.costs.HousekeepPeriod/3, sim.Event{T: f, Op: opHousekeep})
 }
 
-// housekeep models the periodic kernel path that holds the policy lock
-// (it runs on a kernel thread, not on a simulated core).
-func (f *Framework) housekeep() { f.lock.Acquire(f.hkGrantedCb) }
-
-func (f *Framework) housekeepGranted() { f.eng.After(f.costs.HousekeepHold, f.hkHeldCb) }
-
-func (f *Framework) housekeepHeld() {
-	f.lock.Release()
-	if f.writes == f.hkLastWrites {
-		f.hkArmed = false // quiesce until the next write
-		return
+// Fire implements sim.Target: the periodic kernel path that holds the
+// policy lock (it runs on a kernel thread, not on a simulated core).
+func (f *Framework) Fire(op uint8) {
+	switch op {
+	case opHousekeep:
+		f.lock.Acquire(sim.Event{T: f, Op: opHkGranted})
+	case opHkGranted:
+		f.eng.After(f.costs.HousekeepHold, sim.Event{T: f, Op: opHkHeld})
+	case opHkHeld:
+		f.lock.Release()
+		if f.writes == f.hkLastWrites {
+			f.hkArmed = false // quiesce until the next write
+			return
+		}
+		f.hkLastWrites = f.writes
+		f.eng.After(f.costs.HousekeepPeriod-f.costs.HousekeepHold, sim.Event{T: f, Op: opHousekeep})
 	}
-	f.hkLastWrites = f.writes
-	f.eng.After(f.costs.HousekeepPeriod-f.costs.HousekeepHold, f.housekeepCb)
 }
 
 // Write performs one policy-file write: set core `target` to `level`,
-// executing the software path on core `caller`. done runs when the
+// executing the software path on core `caller`. done fires when the
 // syscall returns to user space; the physical DVFS transition started by
 // the driver completes asynchronously (TransitionLatency later).
 //
@@ -170,57 +168,51 @@ func (f *Framework) housekeepHeld() {
 // writes from the worker's dispatch/completion path), and a core issues
 // one write at a time: a second Write from a caller whose previous write
 // has not returned panics. done may issue the caller's next write.
-func (f *Framework) Write(caller, target int, level energy.Level, done func()) {
+func (f *Framework) Write(caller, target int, level energy.Level, done sim.Event) {
 	if caller < 0 || caller >= f.mach.Cores() || target < 0 || target >= f.mach.Cores() {
 		panic(fmt.Sprintf("cpufreq: write caller=%d target=%d out of range", caller, target))
 	}
 	op := &f.ops[caller]
-	if op.busy {
+	if op.done.T != nil {
 		panic(fmt.Sprintf("cpufreq: write from core %d while its previous write is in flight", caller))
 	}
-	op.busy = true
 	op.target, op.level, op.done = target, level, done
 	op.start = f.eng.Now()
 	f.writes++
 	f.armHousekeeping()
 	// 1. User→kernel: file write, interrupt, kernel entry.
-	op.core.Exec(f.costs.UserKernelCycles, 0, op.enteredCb)
+	op.core.Exec(f.costs.UserKernelCycles, 0, sim.Event{T: op, Op: opEntered})
 }
 
-// entered: 2. The driver runs under the global cpufreq lock. The core
-// blocks (stays busy / C0-active) until granted.
-func (op *writeOp) entered() {
-	op.lockStart = op.f.eng.Now()
-	op.f.lock.Acquire(op.grantedCb)
-}
-
-// granted: 3. Driver computation + device register programming.
-func (op *writeOp) granted() {
+// Fire implements sim.Target: it runs one stage of the write.
+func (op *writeOp) Fire(stage uint8) {
 	f := op.f
-	op.lockWait = f.eng.Now() - op.lockStart
-	op.core.Exec(f.costs.DriverCycles, f.costs.DriverFixed, op.drivenCb)
-}
-
-// driven: 4. Kick the hardware transition, then 5. return to user space.
-func (op *writeOp) driven() {
-	f := op.f
-	f.mach.DVFS.Request(op.target, op.level)
-	f.lock.Release()
-	op.core.Exec(f.costs.ReturnCycles, 0, op.returnedCb)
-}
-
-func (op *writeOp) returned() {
-	f := op.f
-	lat := f.eng.Now() - op.start
-	f.writeLat.ObserveTime(lat)
-	f.perCaller[op.caller].ObserveTime(lat)
-	if f.rec != nil {
-		f.rec.CpufreqWrite(f.eng.Now(), op.caller, op.target, int(op.level), op.lockWait, lat)
+	switch stage {
+	case opEntered:
+		// 2. The driver runs under the global cpufreq lock. The core
+		// blocks (stays busy / C0-active) until granted.
+		op.lockStart = f.eng.Now()
+		f.lock.Acquire(sim.Event{T: op, Op: opGranted})
+	case opGranted:
+		// 3. Driver computation + device register programming.
+		op.lockWait = f.eng.Now() - op.lockStart
+		op.core.Exec(f.costs.DriverCycles, f.costs.DriverFixed, sim.Event{T: op, Op: opDriven})
+	case opDriven:
+		// 4. Kick the hardware transition, then 5. return to user space.
+		f.mach.DVFS.Request(op.target, op.level)
+		f.lock.Release()
+		op.core.Exec(f.costs.ReturnCycles, 0, sim.Event{T: op, Op: opReturned})
+	case opReturned:
+		lat := f.eng.Now() - op.start
+		f.writeLat.ObserveTime(lat)
+		f.perCaller[op.caller].ObserveTime(lat)
+		if f.rec != nil {
+			f.rec.CpufreqWrite(f.eng.Now(), op.caller, op.target, int(op.level), op.lockWait, lat)
+		}
+		done := op.done
+		op.done = sim.Event{}
+		done.Fire()
 	}
-	done := op.done
-	op.done = nil
-	op.busy = false
-	done()
 }
 
 // Writes returns the number of policy writes performed.

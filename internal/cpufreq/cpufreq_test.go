@@ -24,7 +24,7 @@ func TestLockImmediateGrant(t *testing.T) {
 	eng := sim.NewEngine()
 	l := NewLock(eng)
 	granted := false
-	l.Acquire(func() { granted = true })
+	l.Acquire(sim.Func(func() { granted = true }))
 	if !granted || !l.Held() {
 		t.Fatal("free lock should grant synchronously")
 	}
@@ -42,10 +42,10 @@ func TestLockFIFOGrantOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	l := NewLock(eng)
 	var order []int
-	l.Acquire(func() { order = append(order, 0) })
+	l.Acquire(sim.Func(func() { order = append(order, 0) }))
 	for i := 1; i <= 3; i++ {
 		i := i
-		l.Acquire(func() { order = append(order, i) })
+		l.Acquire(sim.Func(func() { order = append(order, i) }))
 	}
 	if l.QueueLen() != 3 {
 		t.Fatalf("QueueLen = %d", l.QueueLen())
@@ -65,12 +65,12 @@ func TestLockFIFOGrantOrder(t *testing.T) {
 func TestLockWaitTimes(t *testing.T) {
 	eng := sim.NewEngine()
 	l := NewLock(eng)
-	l.Acquire(func() {})
+	l.Acquire(sim.Func(func() {}))
 	var waitedUntil sim.Time
-	eng.At(10*sim.Microsecond, func() {
-		l.Acquire(func() { waitedUntil = eng.Now() })
-	})
-	eng.At(35*sim.Microsecond, func() { l.Release() })
+	eng.At(10*sim.Microsecond, sim.Func(func() {
+		l.Acquire(sim.Func(func() { waitedUntil = eng.Now() }))
+	}))
+	eng.At(35*sim.Microsecond, sim.Func(func() { l.Release() }))
 	eng.Run()
 	if waitedUntil != 35*sim.Microsecond {
 		t.Fatalf("second grant at %v, want 35µs", waitedUntil)
@@ -101,9 +101,9 @@ func TestWriteChangesTargetAndCostsTime(t *testing.T) {
 	eng, m, f := newRig(t)
 	var doneAt sim.Time
 	// Core 0 must be busy (worker context) to issue cpufreq writes.
-	m.Core(0).Exec(0, 0, func() {
-		f.Write(0, 2, energy.Fast, func() { doneAt = eng.Now() })
-	})
+	m.Core(0).Exec(0, 0, sim.Func(func() {
+		f.Write(0, 2, energy.Fast, sim.Func(func() { doneAt = eng.Now() }))
+	}))
 	eng.Run()
 	if m.DVFS.Target(2) != energy.Fast {
 		t.Fatal("target not committed")
@@ -127,9 +127,9 @@ func TestWriteSoftwarePathScalesWithCallerFreq(t *testing.T) {
 	eng, m, f := newRig(t)
 	m.SetHeterogeneous(1) // caller core 0 fast
 	var doneAt sim.Time
-	m.Core(0).Exec(0, 0, func() {
-		f.Write(0, 2, energy.Fast, func() { doneAt = eng.Now() })
-	})
+	m.Core(0).Exec(0, 0, sim.Func(func() {
+		f.Write(0, 2, energy.Fast, sim.Func(func() { doneAt = eng.Now() }))
+	}))
 	eng.Run()
 	// At 2 GHz: 1.25µs + 1.5µs + 1µs fixed + 0.5µs = 4.25µs.
 	if doneAt != 4250*sim.Nanosecond {
@@ -142,9 +142,9 @@ func TestConcurrentWritesSerialize(t *testing.T) {
 	var done []sim.Time
 	for i := 0; i < 3; i++ {
 		i := i
-		m.Core(i).Exec(0, 0, func() {
-			f.Write(i, 3, energy.Fast, func() { done = append(done, eng.Now()) })
-		})
+		m.Core(i).Exec(0, 0, sim.Func(func() {
+			f.Write(i, 3, energy.Fast, sim.Func(func() { done = append(done, eng.Now()) }))
+		}))
 	}
 	eng.Run()
 	if len(done) != 3 {
@@ -174,14 +174,14 @@ func TestWriteOutOfRangePanics(t *testing.T) {
 			t.Fatal("out-of-range write did not panic")
 		}
 	}()
-	f.Write(0, 99, energy.Fast, func() {})
+	f.Write(0, 99, energy.Fast, sim.Func(func() {}))
 }
 
 func TestCallerLatencyAttribution(t *testing.T) {
 	eng, m, f := newRig(t)
-	m.Core(0).Exec(0, 0, func() {
-		f.Write(0, 1, energy.Fast, func() {})
-	})
+	m.Core(0).Exec(0, 0, sim.Func(func() {
+		f.Write(0, 1, energy.Fast, sim.Func(func() {}))
+	}))
 	eng.Run()
 	if f.CallerLatency(0).Count() != 1 {
 		t.Fatalf("caller 0 latencies = %d", f.CallerLatency(0).Count())
@@ -194,15 +194,15 @@ func TestCallerLatencyAttribution(t *testing.T) {
 	}
 }
 
-// TestWriteZeroAllocs pins the write path's preallocated continuations:
-// in steady state a policy write — kernel entry, driver lock, DVFS
+// TestWriteZeroAllocs pins the write path's stage events: in steady
+// state a policy write — kernel entry, driver lock, DVFS
 // request, the transition landing, return, and the periodic
 // housekeeping it arms — allocates nothing.
 func TestWriteZeroAllocs(t *testing.T) {
 	eng, m, f := newRig(t)
 	level := energy.Fast
-	done := func() {}
-	write := func() { f.Write(0, 2, level, done) }
+	done := sim.Func(func() {})
+	write := sim.Func(func() { f.Write(0, 2, level, done) })
 	allocs := testing.AllocsPerRun(100, func() {
 		m.Core(0).Exec(0, 0, write)
 		eng.Run()
@@ -223,11 +223,11 @@ func TestWriteZeroAllocs(t *testing.T) {
 // TestOverlappingWritesPanic: a core issues one write at a time.
 func TestOverlappingWritesPanic(t *testing.T) {
 	_, _, f := newRig(t)
-	f.Write(0, 1, energy.Fast, func() {})
+	f.Write(0, 1, energy.Fast, sim.Func(func() {}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("second write from a core with a write in flight did not panic")
 		}
 	}()
-	f.Write(0, 2, energy.Fast, func() {})
+	f.Write(0, 2, energy.Fast, sim.Func(func() {}))
 }

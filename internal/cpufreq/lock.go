@@ -31,27 +31,27 @@ type Lock struct {
 
 type waiter struct {
 	since sim.Time
-	fn    func()
+	ev    sim.Event
 }
 
 // NewLock returns an unlocked lock.
 func NewLock(eng *sim.Engine) *Lock { return &Lock{eng: eng} }
 
-// Acquire requests the lock; fn runs (synchronously if the lock is free,
+// Acquire requests the lock; ev fires (synchronously if the lock is free,
 // otherwise when granted) with the lock held. The caller must eventually
-// call Release from within fn's critical section.
-func (l *Lock) Acquire(fn func()) {
+// call Release from within ev's critical section.
+func (l *Lock) Acquire(ev sim.Event) {
 	now := l.eng.Now()
 	if !l.busy {
 		l.busy = true
 		l.grantAt = now
 		l.acquisitions++
 		l.waitTimes.ObserveTime(0)
-		fn()
+		ev.Fire()
 		return
 	}
 	l.contended++
-	l.waiters = append(l.waiters, waiter{since: now, fn: fn})
+	l.waiters = append(l.waiters, waiter{since: now, ev: ev})
 }
 
 // Release frees the lock; the oldest waiter (if any) is granted
@@ -72,7 +72,7 @@ func (l *Lock) Release() {
 	l.grantAt = now
 	l.acquisitions++
 	l.waitTimes.ObserveTime(now - w.since)
-	w.fn()
+	w.ev.Fire()
 }
 
 // Held reports whether the lock is currently held.

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"strconv"
@@ -96,13 +97,19 @@ func TestEveryPolicyRuns(t *testing.T) {
 	}
 }
 
-func TestRunAllParallelOrder(t *testing.T) {
+// TestSweepParallelOrder: a parallel sweep returns its measurements in
+// spec order.
+func TestSweepParallelOrder(t *testing.T) {
 	specs := []RunSpec{
 		{Workload: "swaptions", Policy: FIFO, FastCores: 2, Cores: 4, Scale: 0.05},
 		{Workload: "dedup", Policy: FIFO, FastCores: 2, Cores: 4, Scale: 0.05},
 		{Workload: "ferret", Policy: FIFO, FastCores: 2, Cores: 4, Scale: 0.05},
 	}
-	ms, err := RunAll(specs)
+	rs, err := Sweep(context.Background(), specs, SweepOptions{Parallelism: len(specs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := measurements(rs)
 	if err != nil {
 		t.Fatal(err)
 	}

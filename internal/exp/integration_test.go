@@ -30,12 +30,12 @@ func sampleDuringRun(t *testing.T, spec RunSpec, every sim.Time, sample func(*ri
 		t.Fatal(err)
 	}
 	samples := 0
-	var tick func()
-	tick = func() {
+	var tick sim.Event
+	tick = sim.Func(func() {
 		samples++
 		sample(r)
 		r.eng.After(every, tick)
-	}
+	})
 	r.eng.After(every, tick)
 	if _, err := r.runtime.Run(); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,32 @@
+package exp
+
+import "testing"
+
+// TestBuildRigBindsNothingPerCore pins what a rig costs to build per
+// core. Every layer keeps its per-core state in one slab and names it as
+// the target of its events, and the machine's cores are a slab too, so
+// adding cores adds no allocation of its own. What remains is the
+// engine's arena and heap growing by doubling under the boot-time
+// events, a fraction of an allocation per core.
+func TestBuildRigBindsNothingPerCore(t *testing.T) {
+	const maxPerCore = 0.25
+	for _, pol := range []Policy{FIFO, CATA, CATARSU} {
+		allocs := func(cores int) float64 {
+			spec := RunSpec{Workload: "swaptions", Policy: pol, Cores: cores, FastCores: cores / 4, Scale: 0.05}.withDefaults()
+			prog, err := buildProgram(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(20, func() {
+				if _, err := buildRig(spec, programHolder{prog: prog}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		a8, a32 := allocs(8), allocs(32)
+		if slope := (a32 - a8) / 24; slope > maxPerCore {
+			t.Errorf("%s: building a rig allocates %v times at 8 cores and %v at 32: %.2f per core, want at most %v",
+				pol, a8, a32, slope, maxPerCore)
+		}
+	}
+}

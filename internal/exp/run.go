@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"time"
@@ -306,19 +305,6 @@ func schedStats(r *rig) *sched.Stats {
 		return s.Stats()
 	}
 	return nil
-}
-
-// RunAll executes specs in parallel (bounded by GOMAXPROCS) and returns
-// measurements in spec order. The first error (in spec order) aborts the
-// batch. It is a compatibility wrapper over Sweep; callers that want
-// cancellation, caching, progress, or per-spec error isolation should
-// use Sweep directly.
-func RunAll(specs []RunSpec) ([]Measurement, error) {
-	rs, err := Sweep(context.Background(), specs, SweepOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return measurements(rs)
 }
 
 // measurements converts sweep results to plain measurements, failing

@@ -49,6 +49,7 @@ func (s CoreState) String() string {
 // rescales in-flight work when the DVFS controller changes its frequency.
 type Core struct {
 	id    int
+	m     *Machine // for its halt/wake listeners (TurboMode)
 	eng   *sim.Engine
 	cfg   *Config
 	dvfs  *DVFSController
@@ -59,22 +60,9 @@ type Core struct {
 	segActive bool
 
 	idleTimer sim.Handle // pending spin→halt or halt→sleep demotion
-	wakeCb    func()
-	haltDone  func() // continuation of the in-flight HaltFor
-
-	// Event callbacks allocated once at construction. A core schedules
-	// thousands of events per simulated millisecond; handing the engine
-	// the same bound closures instead of fresh ones keeps the scheduling
-	// hot path allocation-free.
-	finishSegCb  func()
-	demoteHaltCb func()
-	demoteSleepC func()
-	wakeDoneCb   func()
-	haltWakeCb   func()
-	haltDoneCb   func()
-
-	onHalt func(core int) // machine-level listeners (TurboMode)
-	onWake func(core int)
+	// done is the continuation of the in-flight Exec, Wake or HaltFor.
+	// The three exclude each other, so a core has at most one pending.
+	done sim.Event
 
 	// Statistics.
 	haltCount    int64
@@ -89,19 +77,51 @@ type segment struct {
 	started  sim.Time
 	duration sim.Time // duration of the remaining work at segment start freq
 	end      sim.Handle
-	done     func()
 }
 
-func newCore(id int, eng *sim.Engine, cfg *Config, dvfs *DVFSController, meter *energy.Meter) *Core {
-	c := &Core{id: id, eng: eng, cfg: cfg, dvfs: dvfs, meter: meter, state: IdleSpin}
-	c.finishSegCb = c.finishSegment
-	c.demoteHaltCb = c.demoteToHalt
-	c.demoteSleepC = c.demoteToSleep
-	c.wakeDoneCb = c.wakeDone
-	c.haltWakeCb = c.haltWake
-	c.haltDoneCb = c.haltFinish
-	c.armIdleDemotion()
-	return c
+// The core's event ops: the stages it schedules on itself.
+const (
+	opFinishSeg uint8 = iota
+	opDemoteHalt
+	opDemoteSleep
+	opWakeDone
+	opHaltWake
+	opHaltFinish
+)
+
+// Fire implements sim.Target: it runs one of the core's own stages.
+func (c *Core) Fire(op uint8) {
+	switch op {
+	case opFinishSeg:
+		c.finishSegment()
+	case opDemoteHalt:
+		if c.state != IdleSpin {
+			return
+		}
+		c.setState(Halted)
+		c.haltCount++
+		c.idleTimer = c.eng.After(c.cfg.SleepAfter, sim.Event{T: c, Op: opDemoteSleep})
+		c.notify(c.m.onHalt)
+	case opDemoteSleep:
+		if c.state == Halted {
+			c.setState(Sleeping)
+		}
+	case opWakeDone:
+		c.setState(IdleSpin)
+		c.armIdleDemotion()
+		c.notify(c.m.onWake)
+		c.resume()
+	case opHaltWake:
+		if c.state != Halted {
+			panic(fmt.Sprintf("machine: core %d left Halted during HaltFor", c.id))
+		}
+		c.setState(Waking)
+		c.eng.After(c.cfg.WakeLatencyC1, sim.Event{T: c, Op: opHaltFinish})
+	case opHaltFinish:
+		c.setState(Busy)
+		c.notify(c.m.onWake)
+		c.resume()
+	}
 }
 
 // ID returns the core index.
@@ -161,10 +181,10 @@ func (c *Core) cstate() energy.CState {
 }
 
 // Exec runs `cycles` of frequency-scaled work plus `fixed` of
-// frequency-invariant time (memory stalls, spin waits), then calls done.
+// frequency-invariant time (memory stalls, spin waits), then fires done.
 // The core must not be Busy, Halted, Sleeping or Waking; the runtime wakes
 // a core before dispatching to it.
-func (c *Core) Exec(cycles int64, fixed sim.Time, done func()) {
+func (c *Core) Exec(cycles int64, fixed sim.Time, done sim.Event) {
 	if c.state == Halted || c.state == Sleeping || c.state == Waking {
 		panic(fmt.Sprintf("machine: Exec on core %d in state %v", c.id, c.state))
 	}
@@ -176,22 +196,23 @@ func (c *Core) Exec(cycles int64, fixed sim.Time, done func()) {
 	}
 	c.cancelIdleTimer()
 	c.execSegments++
-	c.seg = segment{cycles: cycles, fixed: fixed, done: done}
+	c.seg = segment{cycles: cycles, fixed: fixed}
 	c.segActive = true
+	c.done = done
 	c.setState(Busy)
 	c.startSegment()
 }
 
 // BusyWait runs a purely frequency-invariant active wait (e.g. blocking on
 // a contended kernel lock): the core burns C0-active power for d, then
-// calls done.
-func (c *Core) BusyWait(d sim.Time, done func()) { c.Exec(0, d, done) }
+// fires done.
+func (c *Core) BusyWait(d sim.Time, done sim.Event) { c.Exec(0, d, done) }
 
 func (c *Core) startSegment() {
 	seg := &c.seg
 	seg.started = c.eng.Now()
 	seg.duration = sim.Cycles(seg.cycles, c.Freq()) + seg.fixed
-	seg.end = c.eng.After(seg.duration, c.finishSegCb)
+	seg.end = c.eng.After(seg.duration, sim.Event{T: c, Op: opFinishSeg})
 }
 
 func (c *Core) finishSegment() {
@@ -200,13 +221,20 @@ func (c *Core) finishSegment() {
 		// generation-checked handles a stale completion can never fire.
 		panic("machine: stale segment completion")
 	}
-	done := c.seg.done
 	c.segActive = false
 	c.seg = segment{}
-	// done() runs at the completion timestamp; the runtime immediately
+	// done fires at the completion timestamp; the runtime immediately
 	// either Execs again, Idles, or HaltsFor. The core stays Busy across
 	// the (zero-duration) callback.
-	done()
+	c.resume()
+}
+
+// resume fires the pending continuation, clearing it first so the
+// continuation may start the core's next Exec or HaltFor.
+func (c *Core) resume() {
+	done := c.done
+	c.done = sim.Event{}
+	done.Fire()
 }
 
 // onFreqChange rescales the in-flight segment onto the new frequency.
@@ -243,26 +271,7 @@ func (c *Core) Idle() {
 
 func (c *Core) armIdleDemotion() {
 	c.cancelIdleTimer()
-	c.idleTimer = c.eng.After(c.cfg.IdleSpin, c.demoteHaltCb)
-}
-
-func (c *Core) demoteToHalt() {
-	if c.state != IdleSpin {
-		return
-	}
-	c.setState(Halted)
-	c.haltCount++
-	c.idleTimer = c.eng.After(c.cfg.SleepAfter, c.demoteSleepC)
-	if c.onHalt != nil {
-		c.onHalt(c.id)
-	}
-}
-
-func (c *Core) demoteToSleep() {
-	if c.state != Halted {
-		return
-	}
-	c.setState(Sleeping)
+	c.idleTimer = c.eng.After(c.cfg.IdleSpin, sim.Event{T: c, Op: opDemoteHalt})
 }
 
 func (c *Core) cancelIdleTimer() {
@@ -272,15 +281,15 @@ func (c *Core) cancelIdleTimer() {
 }
 
 // Wake brings an idle, halted or sleeping core back to the runtime, then
-// calls ready. From IdleSpin the core picks work up immediately (same
+// fires ready. From IdleSpin the core picks work up immediately (same
 // timestamp); from C1/C3 the configured wake latency applies and the wake
 // listener fires. Waking a core that is already waking or busy panics —
 // the runtime tracks core ownership and must not double-dispatch.
-func (c *Core) Wake(ready func()) {
+func (c *Core) Wake(ready sim.Event) {
 	switch c.state {
 	case IdleSpin:
 		c.cancelIdleTimer()
-		ready()
+		ready.Fire()
 	case Halted, Sleeping:
 		lat := c.cfg.WakeLatencyC1
 		if c.state == Sleeping {
@@ -288,31 +297,20 @@ func (c *Core) Wake(ready func()) {
 		}
 		c.cancelIdleTimer()
 		c.setState(Waking)
-		c.wakeCb = ready
-		c.eng.After(lat, c.wakeDoneCb)
+		c.done = ready
+		c.eng.After(lat, sim.Event{T: c, Op: opWakeDone})
 	default:
 		panic(fmt.Sprintf("machine: Wake on core %d in state %v", c.id, c.state))
 	}
 }
 
-func (c *Core) wakeDone() {
-	c.setState(IdleSpin)
-	c.armIdleDemotion()
-	cb := c.wakeCb
-	c.wakeCb = nil
-	if c.onWake != nil {
-		c.onWake(c.id)
-	}
-	cb()
-}
-
 // HaltFor models a blocking kernel service inside a task (IO, page-fault
 // contention): the core drops to C1 for d (notifying the halt listener —
 // this is the situation where TurboMode reclaims budget, §V-D), then wakes
-// and calls done after the wake latency.
-func (c *Core) HaltFor(d sim.Time, done func()) {
-	if c.segActive {
-		panic(fmt.Sprintf("machine: HaltFor on core %d with segment in flight", c.id))
+// and fires done after the wake latency.
+func (c *Core) HaltFor(d sim.Time, done sim.Event) {
+	if c.done.T != nil {
+		panic(fmt.Sprintf("machine: HaltFor on core %d with a segment or wake in flight", c.id))
 	}
 	if d < 0 {
 		panic("machine: negative halt duration")
@@ -320,27 +318,15 @@ func (c *Core) HaltFor(d sim.Time, done func()) {
 	c.cancelIdleTimer()
 	c.setState(Halted)
 	c.haltCount++
-	c.haltDone = done
-	if c.onHalt != nil {
-		c.onHalt(c.id)
-	}
-	c.eng.After(d, c.haltWakeCb)
+	c.done = done
+	c.notify(c.m.onHalt)
+	c.eng.After(d, sim.Event{T: c, Op: opHaltWake})
 }
 
-func (c *Core) haltWake() {
-	if c.state != Halted {
-		panic(fmt.Sprintf("machine: core %d left Halted during HaltFor", c.id))
+// notify tells a machine-level C-state listener, if one is registered,
+// about this core.
+func (c *Core) notify(listener func(core int)) {
+	if listener != nil {
+		listener(c.id)
 	}
-	c.setState(Waking)
-	c.eng.After(c.cfg.WakeLatencyC1, c.haltDoneCb)
-}
-
-func (c *Core) haltFinish() {
-	c.setState(Busy)
-	done := c.haltDone
-	c.haltDone = nil
-	if c.onWake != nil {
-		c.onWake(c.id)
-	}
-	done()
 }

@@ -42,13 +42,11 @@ type DVFSController struct {
 }
 
 // dvfsCore is one core's controller state. At most one transition is in
-// flight per core; its completion continuation is a method value built
-// once at construction, so transitions schedule without allocating.
+// flight per core; its completion event targets the dvfsCore itself,
+// so transitions schedule without allocating.
 type dvfsCore struct {
 	d  *DVFSController
 	id int
-
-	completeCb func()
 
 	actual       energy.Level
 	target       energy.Level
@@ -63,9 +61,7 @@ func NewDVFSController(eng *sim.Engine, cfg *Config) *DVFSController {
 	d := &DVFSController{eng: eng, cfg: cfg}
 	d.cores = make([]dvfsCore, cfg.Cores)
 	for i := range d.cores {
-		c := &d.cores[i]
-		*c = dvfsCore{d: d, id: i, actual: cfg.SlowLevel, target: cfg.SlowLevel}
-		c.completeCb = c.complete
+		d.cores[i] = dvfsCore{d: d, id: i, actual: cfg.SlowLevel, target: cfg.SlowLevel}
 	}
 	return d
 }
@@ -145,10 +141,12 @@ func (c *dvfsCore) begin() {
 	c.inFlight = true
 	c.inFlightTo = c.target
 	c.d.transitions++
-	c.d.eng.After(c.d.cfg.TransitionLatency, c.completeCb)
+	c.d.eng.After(c.d.cfg.TransitionLatency, sim.Event{T: c})
 }
 
-func (c *dvfsCore) complete() {
+// Fire implements sim.Target: the in-flight transition lands. It is the
+// controller's only event.
+func (c *dvfsCore) Fire(uint8) {
 	d, core := c.d, c.id
 	c.inFlight = false
 	changed := c.actual != c.inFlightTo

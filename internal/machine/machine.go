@@ -16,7 +16,7 @@ type Machine struct {
 	Cfg   Config
 	DVFS  *DVFSController
 	Meter *energy.Meter
-	cores []*Core
+	cores []Core
 
 	onHalt func(core int)
 	onWake func(core int)
@@ -31,12 +31,11 @@ func New(eng *sim.Engine, cfg Config) (*Machine, error) {
 	m := &Machine{Eng: eng, Cfg: cfg}
 	m.DVFS = NewDVFSController(eng, &m.Cfg)
 	m.Meter = energy.NewMeter(cfg.Power, cfg.Cores, eng.Now)
-	m.cores = make([]*Core, cfg.Cores)
+	m.cores = make([]Core, cfg.Cores)
 	for i := range m.cores {
-		core := newCore(i, eng, &m.Cfg, m.DVFS, m.Meter)
-		core.onHalt = m.haltListener
-		core.onWake = m.wakeListener
-		m.cores[i] = core
+		c := &m.cores[i]
+		*c = Core{id: i, m: m, eng: eng, cfg: &m.Cfg, dvfs: m.DVFS, meter: m.Meter, state: IdleSpin}
+		c.armIdleDemotion()
 	}
 	m.DVFS.OnActualChange(func(core int, _ energy.Level) {
 		m.cores[core].onFreqChange()
@@ -55,7 +54,7 @@ func MustNew(eng *sim.Engine, cfg Config) *Machine {
 }
 
 // Core returns core i.
-func (m *Machine) Core(i int) *Core { return m.cores[i] }
+func (m *Machine) Core(i int) *Core { return &m.cores[i] }
 
 // Cores returns the number of cores.
 func (m *Machine) Cores() int { return len(m.cores) }
@@ -66,18 +65,6 @@ func (m *Machine) OnHalt(fn func(core int)) { m.onHalt = fn }
 
 // OnWake registers a listener invoked whenever any core leaves C1/C3.
 func (m *Machine) OnWake(fn func(core int)) { m.onWake = fn }
-
-func (m *Machine) haltListener(core int) {
-	if m.onHalt != nil {
-		m.onHalt(core)
-	}
-}
-
-func (m *Machine) wakeListener(core int) {
-	if m.onWake != nil {
-		m.onWake(core)
-	}
-}
 
 // SetRecorder attaches a flight recorder to the machine: the DVFS
 // controller reports requested/actual transitions and the energy meter

@@ -145,7 +145,7 @@ func TestCoreExecDuration(t *testing.T) {
 	c := m.Core(0)
 	done := sim.Time(-1)
 	// 1000 cycles at 1 GHz = 1µs, plus 500ns fixed = 1.5µs.
-	c.Exec(1000, 500*sim.Nanosecond, func() { done = eng.Now() })
+	c.Exec(1000, 500*sim.Nanosecond, sim.Func(func() { done = eng.Now() }))
 	eng.Run()
 	if done != 1500*sim.Nanosecond {
 		t.Fatalf("done at %v, want 1.5µs", done)
@@ -160,7 +160,7 @@ func TestCoreExecScalesWithFrequency(t *testing.T) {
 	m.SetHeterogeneous(1) // core 0 fast
 	c := m.Core(0)
 	done := sim.Time(-1)
-	c.Exec(1000, 500*sim.Nanosecond, func() { done = eng.Now() })
+	c.Exec(1000, 500*sim.Nanosecond, sim.Func(func() { done = eng.Now() }))
 	eng.Run()
 	// 1000 cycles at 2 GHz = 500ns, plus 500ns fixed = 1µs.
 	if done != sim.Microsecond {
@@ -175,10 +175,10 @@ func TestCoreMidExecFreqChange(t *testing.T) {
 	c := m.Core(0)
 	done := sim.Time(-1)
 	// 10000 cycles at 1 GHz = 10µs, no fixed part.
-	c.Exec(10000, 0, func() { done = eng.Now() })
+	c.Exec(10000, 0, sim.Func(func() { done = eng.Now() }))
 	// At 5µs, half the cycles are consumed; the rest runs at 2 GHz in
 	// 2.5µs, so completion should be at 7.5µs.
-	eng.At(5*sim.Microsecond, func() { m.DVFS.Request(0, energy.Fast) })
+	eng.At(5*sim.Microsecond, sim.Func(func() { m.DVFS.Request(0, energy.Fast) }))
 	eng.Run()
 	if done != 7500*sim.Nanosecond {
 		t.Fatalf("done at %v, want 7.5µs", done)
@@ -192,10 +192,10 @@ func TestCoreMidExecFreqChangeFixedPart(t *testing.T) {
 	c := m.Core(0)
 	done := sim.Time(-1)
 	// 5000 cycles (5µs at 1GHz) + 5µs fixed = 10µs total at slow.
-	c.Exec(5000, 5*sim.Microsecond, func() { done = eng.Now() })
+	c.Exec(5000, 5*sim.Microsecond, sim.Func(func() { done = eng.Now() }))
 	// Halfway (5µs): 2500 cycles + 2.5µs fixed remain. At 2 GHz that is
 	// 1.25µs + 2.5µs = 3.75µs, completing at 8.75µs.
-	eng.At(5*sim.Microsecond, func() { m.DVFS.Request(0, energy.Fast) })
+	eng.At(5*sim.Microsecond, sim.Func(func() { m.DVFS.Request(0, energy.Fast) }))
 	eng.Run()
 	if done != 8750*sim.Nanosecond {
 		t.Fatalf("done at %v, want 8.75µs", done)
@@ -208,8 +208,8 @@ func TestCoreBusyWaitIsFrequencyInvariant(t *testing.T) {
 	eng, m := newTestMachine(t, cfg)
 	c := m.Core(0)
 	done := sim.Time(-1)
-	c.BusyWait(10*sim.Microsecond, func() { done = eng.Now() })
-	eng.At(3*sim.Microsecond, func() { m.DVFS.Request(0, energy.Fast) })
+	c.BusyWait(10*sim.Microsecond, sim.Func(func() { done = eng.Now() }))
+	eng.At(3*sim.Microsecond, sim.Func(func() { m.DVFS.Request(0, energy.Fast) }))
 	eng.Run()
 	if done != 10*sim.Microsecond {
 		t.Fatalf("BusyWait finished at %v, want 10µs regardless of freq", done)
@@ -259,10 +259,10 @@ func TestCoreWakeFromHalt(t *testing.T) {
 	})
 	eng.RunUntil(cfg.IdleSpin + sim.Microsecond) // now halted
 	start := eng.Now()
-	c.Wake(func() {
+	c.Wake(sim.Func(func() {
 		wokeAt = eng.Now()
 		stateAtWake = c.State()
-	})
+	}))
 	eng.Run()
 	if wokeAt != start+cfg.WakeLatencyC1 {
 		t.Fatalf("woke at %v, want %v", wokeAt, start+cfg.WakeLatencyC1)
@@ -290,7 +290,7 @@ func TestCoreWakeFromSleepIsSlower(t *testing.T) {
 	}
 	start := eng.Now()
 	var wokeAt sim.Time
-	c.Wake(func() { wokeAt = eng.Now() })
+	c.Wake(sim.Func(func() { wokeAt = eng.Now() }))
 	eng.Run()
 	if wokeAt != start+cfg.WakeLatencyC3 {
 		t.Fatalf("woke at %v, want %v", wokeAt, start+cfg.WakeLatencyC3)
@@ -301,7 +301,7 @@ func TestCoreWakeFromSpinIsImmediate(t *testing.T) {
 	eng, m := newTestMachine(t, testConfig())
 	c := m.Core(0)
 	called := false
-	c.Wake(func() { called = true })
+	c.Wake(sim.Func(func() { called = true }))
 	if !called {
 		t.Fatal("Wake from IdleSpin should call ready synchronously")
 	}
@@ -324,9 +324,9 @@ func TestCoreHaltFor(t *testing.T) {
 		}
 	})
 	var doneAt sim.Time
-	c.Exec(1000, 0, func() { // 1µs at slow
-		c.HaltFor(10*sim.Microsecond, func() { doneAt = eng.Now() })
-	})
+	c.Exec(1000, 0, sim.Func(func() { // 1µs at slow
+		c.HaltFor(10*sim.Microsecond, sim.Func(func() { doneAt = eng.Now() }))
+	}))
 	eng.Run()
 	want := sim.Microsecond + 10*sim.Microsecond + cfg.WakeLatencyC1
 	if doneAt != want {
@@ -340,19 +340,19 @@ func TestCoreHaltFor(t *testing.T) {
 func TestCoreExecWhileBusyPanics(t *testing.T) {
 	_, m := newTestMachine(t, testConfig())
 	c := m.Core(0)
-	c.Exec(1000, 0, func() {})
+	c.Exec(1000, 0, sim.Func(func() {}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double Exec did not panic")
 		}
 	}()
-	c.Exec(1000, 0, func() {})
+	c.Exec(1000, 0, sim.Func(func() {}))
 }
 
 func TestCoreBusyTimeAccounting(t *testing.T) {
 	eng, m := newTestMachine(t, testConfig())
 	c := m.Core(0)
-	c.Exec(2000, 0, func() { c.Idle() }) // 2µs at 1 GHz
+	c.Exec(2000, 0, sim.Func(func() { c.Idle() })) // 2µs at 1 GHz
 	eng.Run()
 	if c.BusyTime() != 2*sim.Microsecond {
 		t.Fatalf("BusyTime = %v, want 2µs", c.BusyTime())
@@ -362,7 +362,7 @@ func TestCoreBusyTimeAccounting(t *testing.T) {
 func TestMachineEnergyPlumbing(t *testing.T) {
 	cfg := testConfig()
 	eng, m := newTestMachine(t, cfg)
-	m.Core(0).Exec(1000_000, 0, func() { m.Core(0).Idle() }) // 1ms at slow
+	m.Core(0).Exec(1000_000, 0, sim.Func(func() { m.Core(0).Idle() })) // 1ms at slow
 	eng.Run()
 	joules := m.FinishEnergy()
 	if joules <= 0 {
@@ -391,14 +391,14 @@ func TestCoreFreqChangeProperty(t *testing.T) {
 		cycles := int64(rng.Intn(100000) + 1000)
 		fixed := sim.Time(rng.Intn(50)) * sim.Microsecond
 		var doneAt sim.Time
-		c.Exec(cycles, fixed, func() { doneAt = eng.Now(); c.Idle() })
+		c.Exec(cycles, fixed, sim.Func(func() { doneAt = eng.Now(); c.Idle() }))
 
 		// Random frequency flips while (probably) running.
 		at := sim.Time(0)
 		for i := 0; i < rng.Intn(8); i++ {
 			at += sim.Time(rng.Intn(20)+1) * sim.Microsecond
 			level := energy.Level(rng.Intn(2))
-			eng.At(at, func() { m.DVFS.Request(0, level) })
+			eng.At(at, sim.Func(func() { m.DVFS.Request(0, level) }))
 		}
 		eng.Run()
 
@@ -451,7 +451,7 @@ func TestDVFSSettleLatency(t *testing.T) {
 func TestBusyTimeWhileRunning(t *testing.T) {
 	eng, m := newTestMachine(t, testConfig())
 	c := m.Core(0)
-	c.Exec(10_000_000, 0, func() { c.Idle() }) // 10ms at 1 GHz
+	c.Exec(10_000_000, 0, sim.Func(func() { c.Idle() })) // 10ms at 1 GHz
 	eng.RunUntil(4 * sim.Millisecond)
 	// Mid-execution, BusyTime must include the open interval.
 	if got := c.BusyTime(); got != 4*sim.Millisecond {
@@ -479,7 +479,7 @@ func TestSleepDemotionOnlyFromHalt(t *testing.T) {
 	eng, m := newTestMachine(t, cfg)
 	c := m.Core(0)
 	// Keep the core busy past the demotion horizon: it must stay Busy.
-	c.Exec(2_000_000, 0, func() { c.Idle() })
+	c.Exec(2_000_000, 0, sim.Func(func() { c.Idle() }))
 	eng.RunUntil(cfg.IdleSpin + cfg.SleepAfter + sim.Microsecond)
 	if c.State() != Busy {
 		t.Fatalf("state = %v, want busy (no demotion while running)", c.State())
@@ -489,7 +489,7 @@ func TestSleepDemotionOnlyFromHalt(t *testing.T) {
 
 func TestSetInitialAfterStartPanics(t *testing.T) {
 	eng, m := newTestMachine(t, testConfig())
-	eng.At(sim.Microsecond, func() {})
+	eng.At(sim.Microsecond, sim.Func(func() {}))
 	eng.Run()
 	defer func() {
 		if recover() == nil {
@@ -519,12 +519,12 @@ func TestC3SleepUsesLessEnergyThanC1(t *testing.T) {
 	}
 }
 
-// TestDVFSRequestZeroAllocs pins the controller's preallocated
-// completion continuation: a request through to the transition landing
+// TestDVFSRequestZeroAllocs pins the controller's transition
+// completion event: a request through to the transition landing
 // — rescaling a segment in flight on the core — allocates nothing.
 func TestDVFSRequestZeroAllocs(t *testing.T) {
 	eng, m := newTestMachine(t, testConfig())
-	nop := func() {}
+	nop := sim.Func(func() {})
 	level := m.Cfg.FastLevel
 	allocs := testing.AllocsPerRun(100, func() {
 		m.Core(1).Exec(1_000_000, 0, nop)

@@ -254,6 +254,14 @@ func openSoakBench(opts Options) benchFunc {
 	})
 }
 
+// nopTarget is the engine benches' event target: a pointer target, as
+// every simulator layer schedules, whose events do nothing.
+type nopTarget struct{}
+
+func (*nopTarget) Fire(uint8) {}
+
+var nopEvent = sim.Event{T: &nopTarget{}}
+
 // engineScheduleFire is the raw schedule+fire hot loop: one event in
 // flight at a time would under-exercise the heap, so it keeps a rolling
 // window of 10k pending events.
@@ -261,7 +269,7 @@ func engineScheduleFire() func(n int) (int64, error) {
 	e := sim.NewEngine()
 	return func(n int) (int64, error) {
 		for i := 0; i < n; i++ {
-			e.After(sim.Time(i%1000), func() {})
+			e.After(sim.Time(i%1000), nopEvent)
 			if e.Pending() > 10000 {
 				e.Run()
 			}
@@ -278,10 +286,10 @@ func engineScheduleFire() func(n int) (int64, error) {
 func engineDeepQueue() func(n int) (int64, error) {
 	e := sim.NewEngine()
 	for i := 0; i < 4096; i++ {
-		e.After(sim.Time(i+1), func() {})
+		e.After(sim.Time(i+1), nopEvent)
 	}
 	step := func() {
-		e.After(sim.Time(4096), func() {})
+		e.After(sim.Time(4096), nopEvent)
 		e.RunUntil(e.Now() + 1)
 	}
 	step() // grows the queue to its steady-state peak of 4097
@@ -304,7 +312,7 @@ func engineCancelReschedule() func(n int) (int64, error) {
 			if h.Pending() {
 				h.Cancel()
 			}
-			h = e.After(sim.Time(i%100+1), func() {})
+			h = e.After(sim.Time(i%100+1), nopEvent)
 			if i%64 == 0 {
 				e.Run()
 			}

@@ -82,27 +82,29 @@ type RSM struct {
 	ops []op
 }
 
-// op is one core's TaskStart or TaskEnd in flight. Its stages are method
-// values built once at construction, so an operation — lock, bookkeeping
-// and up to two cpufreq writes — schedules its events without
+// op is one core's TaskStart or TaskEnd in flight; a pending done marks
+// it busy. It is the target of its own stage events, so an operation —
+// lock, bookkeeping and up to two cpufreq writes — schedules them without
 // allocating.
 type op struct {
 	r    *RSM
 	core int
-	busy bool
 
-	ending   bool // TaskEnd rather than TaskStart
-	critical bool // TaskStart: the starting task is critical
+	decide   uint8 // opStarted or opEnded: the stage after bookkeeping
+	critical bool  // TaskStart: the starting task is critical
 	start    sim.Time
-	done     func()
-
-	lockedCb  func() // lock granted: pay the bookkeeping
-	startedCb func() // TaskStart bookkeeping done: decide
-	endedCb   func() // TaskEnd bookkeeping done: decide
-	swapCb    func() // victim decelerated: accelerate this core
-	handoffCb func() // TaskEnd core decelerated: hand its budget on
-	finishCb  func() // last write returned: release and finish
+	done     sim.Event
 }
+
+// op stages.
+const (
+	opLocked  uint8 = iota // lock granted: pay the bookkeeping
+	opStarted              // TaskStart bookkeeping done: decide
+	opEnded                // TaskEnd bookkeeping done: decide
+	opSwap                 // victim decelerated: accelerate this core
+	opHandoff              // TaskEnd core decelerated: hand its budget on
+	opFinish               // last write returned: release and finish
+)
 
 // New creates an RSM with the given power budget (maximum number of
 // simultaneously accelerated cores).
@@ -122,15 +124,7 @@ func New(eng *sim.Engine, mach *machine.Machine, fw *cpufreq.Framework, budget i
 		ops:               make([]op, mach.Cores()),
 	}
 	for i := range r.ops {
-		o := &r.ops[i]
-		o.r = r
-		o.core = i
-		o.lockedCb = o.locked
-		o.startedCb = o.started
-		o.endedCb = o.ended
-		o.swapCb = o.swap
-		o.handoffCb = o.handoff
-		o.finishCb = o.finish
+		r.ops[i] = op{r: r, core: i}
 	}
 	return r
 }
@@ -200,97 +194,82 @@ func (r *RSM) OpTimeTotal() sim.Time { return r.opTimeTotal }
 // calling core's timeline; done fires when it completes and the task may
 // start executing. A core runs one operation at a time: starting a
 // second before done has fired panics.
-func (r *RSM) TaskStart(core int, critical bool, done func()) {
-	o := r.begin(core, false, done)
-	o.critical = critical
-	r.lock.Acquire(o.lockedCb)
+func (r *RSM) TaskStart(core int, critical bool, done sim.Event) {
+	r.begin(core, opStarted, critical, done)
 }
 
 // TaskEnd runs the §III-A algorithm when a task finishes on core: the core
 // is decelerated and, if a critical task runs non-accelerated somewhere,
 // that core is accelerated with the freed budget.
-func (r *RSM) TaskEnd(core int, done func()) {
-	r.lock.Acquire(r.begin(core, true, done).lockedCb)
+func (r *RSM) TaskEnd(core int, done sim.Event) {
+	r.begin(core, opEnded, false, done)
 }
 
-// begin claims the core's operation slot.
-func (r *RSM) begin(core int, ending bool, done func()) *op {
+// begin claims the core's operation slot and queues for the lock.
+func (r *RSM) begin(core int, decide uint8, critical bool, done sim.Event) {
 	o := &r.ops[core]
-	if o.busy {
+	if o.done.T != nil {
 		panic(fmt.Sprintf("rsm: operation on core %d while another is in flight", core))
 	}
-	o.busy = true
-	o.ending = ending
+	o.decide, o.critical = decide, critical
 	o.start = r.eng.Now()
 	o.done = done
-	return o
+	r.lock.Acquire(sim.Event{T: o, Op: opLocked})
 }
 
-func (o *op) locked() {
-	next := o.startedCb
-	if o.ending {
-		next = o.endedCb
-	}
-	o.r.mach.Core(o.core).Exec(o.r.BookkeepingCycles, 0, next)
-}
-
-func (o *op) started() {
+// Fire implements sim.Target: it runs one stage of the operation.
+func (o *op) Fire(stage uint8) {
 	r, core := o.r, o.core
-	r.crit[core] = NonCritical
-	if o.critical {
-		r.crit[core] = Critical
-	}
-	switch {
-	case r.nAccel < r.budget:
-		r.accelerate(core)
-		r.write(core, core, true, o.finishCb)
-	case o.critical:
-		victim := r.findVictim()
-		if victim >= 0 {
+	switch stage {
+	case opLocked:
+		r.mach.Core(core).Exec(r.BookkeepingCycles, 0, sim.Event{T: o, Op: o.decide})
+	case opStarted:
+		r.crit[core] = NonCritical
+		if o.critical {
+			r.crit[core] = Critical
+		}
+		victim := -1
+		if r.nAccel >= r.budget && o.critical {
+			victim = r.findVictim()
+		}
+		switch {
+		case r.nAccel < r.budget:
+			r.accelerate(core)
+			r.write(core, core, true, sim.Event{T: o, Op: opFinish})
+		case victim >= 0:
 			r.decelerate(victim)
-			r.write(core, victim, false, o.swapCb)
-		} else {
-			// All accelerated cores run critical tasks: run slow.
+			r.write(core, victim, false, sim.Event{T: o, Op: opSwap})
+		default:
+			// No budget, and the task is non-critical or every
+			// accelerated core runs a critical task: run slow.
 			r.denies++
 			if r.rec != nil {
-				r.rec.AccelDeny(r.eng.Now(), core, true, r.nAccel, r.budget)
+				r.rec.AccelDeny(r.eng.Now(), core, o.critical, r.nAccel, r.budget)
 			}
 			o.finish()
 		}
-	default:
-		r.denies++
-		if r.rec != nil {
-			r.rec.AccelDeny(r.eng.Now(), core, false, r.nAccel, r.budget)
+	case opEnded:
+		r.crit[core] = NoTask
+		if !r.accel[core] {
+			o.finish()
+			return
 		}
+		r.decelerate(core)
+		r.write(core, core, false, sim.Event{T: o, Op: opHandoff})
+	case opSwap:
+		r.accelerate(core)
+		r.write(core, core, true, sim.Event{T: o, Op: opFinish})
+	case opHandoff:
+		next := r.findWaitingCritical()
+		if next < 0 {
+			o.finish()
+			return
+		}
+		r.accelerate(next)
+		r.write(core, next, true, sim.Event{T: o, Op: opFinish})
+	case opFinish:
 		o.finish()
 	}
-}
-
-func (o *op) swap() {
-	o.r.accelerate(o.core)
-	o.r.write(o.core, o.core, true, o.finishCb)
-}
-
-func (o *op) ended() {
-	r, core := o.r, o.core
-	r.crit[core] = NoTask
-	if !r.accel[core] {
-		o.finish()
-		return
-	}
-	r.decelerate(core)
-	r.write(core, core, false, o.handoffCb)
-}
-
-func (o *op) handoff() {
-	r := o.r
-	next := r.findWaitingCritical()
-	if next < 0 {
-		o.finish()
-		return
-	}
-	r.accelerate(next)
-	r.write(o.core, next, true, o.finishCb)
 }
 
 // finish releases the runtime lock, accounts the operation's latency,
@@ -302,9 +281,8 @@ func (o *op) finish() {
 	r.opLatency.ObserveTime(lat)
 	r.opTimeTotal += lat
 	done := o.done
-	o.done = nil
-	o.busy = false
-	done()
+	o.done = sim.Event{}
+	done.Fire()
 }
 
 // findVictim returns an accelerated core running a non-critical task, or
@@ -355,7 +333,7 @@ func (r *RSM) decelerate(core int) {
 	r.decels++
 }
 
-func (r *RSM) write(caller, target int, fast bool, done func()) {
+func (r *RSM) write(caller, target int, fast bool, done sim.Event) {
 	level := r.mach.Cfg.SlowLevel
 	if fast {
 		level = r.mach.Cfg.FastLevel

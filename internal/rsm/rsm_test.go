@@ -31,9 +31,9 @@ func busy(m *machine.Machine, core int, fn func()) {
 	c := m.Core(core)
 	switch c.State() {
 	case machine.Halted, machine.Sleeping:
-		c.Wake(func() { c.Exec(0, 0, fn) })
+		c.Wake(sim.Func(func() { c.Exec(0, 0, sim.Func(fn)) }))
 	default:
-		c.Exec(0, 0, fn)
+		c.Exec(0, 0, sim.Func(fn))
 	}
 }
 
@@ -46,7 +46,7 @@ func TestCritStateString(t *testing.T) {
 func TestAccelerateWithinBudget(t *testing.T) {
 	eng, m, r := newRig(t, 4, 2)
 	var started int
-	busy(m, 0, func() { r.TaskStart(0, false, func() { started++ }) })
+	busy(m, 0, func() { r.TaskStart(0, false, sim.Func(func() { started++ })) })
 	eng.Run()
 	if started != 1 {
 		t.Fatal("TaskStart callback not invoked")
@@ -66,14 +66,14 @@ func TestAccelerateWithinBudget(t *testing.T) {
 func TestCriticalPreemptsNonCritical(t *testing.T) {
 	eng, m, r := newRig(t, 4, 1)
 	busy(m, 0, func() {
-		r.TaskStart(0, false, func() {}) // takes the only budget slot
+		r.TaskStart(0, false, sim.Func(func() {})) // takes the only budget slot
 	})
 	eng.Run()
 	if !r.Accelerated(0) {
 		t.Fatal("setup: core 0 should be accelerated")
 	}
 	busy(m, 1, func() {
-		r.TaskStart(1, true, func() {}) // critical: must steal the slot
+		r.TaskStart(1, true, sim.Func(func() {})) // critical: must steal the slot
 	})
 	eng.Run()
 	if r.Accelerated(0) {
@@ -92,9 +92,9 @@ func TestCriticalPreemptsNonCritical(t *testing.T) {
 
 func TestNonCriticalDoesNotPreempt(t *testing.T) {
 	eng, m, r := newRig(t, 4, 1)
-	busy(m, 0, func() { r.TaskStart(0, false, func() {}) })
+	busy(m, 0, func() { r.TaskStart(0, false, sim.Func(func() {})) })
 	eng.Run()
-	busy(m, 1, func() { r.TaskStart(1, false, func() {}) })
+	busy(m, 1, func() { r.TaskStart(1, false, sim.Func(func() {})) })
 	eng.Run()
 	if !r.Accelerated(0) || r.Accelerated(1) {
 		t.Fatal("non-critical task must not preempt")
@@ -103,9 +103,9 @@ func TestNonCriticalDoesNotPreempt(t *testing.T) {
 
 func TestAllCriticalNoPreemption(t *testing.T) {
 	eng, m, r := newRig(t, 4, 1)
-	busy(m, 0, func() { r.TaskStart(0, true, func() {}) })
+	busy(m, 0, func() { r.TaskStart(0, true, sim.Func(func() {})) })
 	eng.Run()
-	busy(m, 1, func() { r.TaskStart(1, true, func() {}) })
+	busy(m, 1, func() { r.TaskStart(1, true, sim.Func(func() {})) })
 	eng.Run()
 	// All accelerated cores run critical tasks: the incoming critical task
 	// "cannot be accelerated, so it is tagged as non-accelerated".
@@ -116,14 +116,14 @@ func TestAllCriticalNoPreemption(t *testing.T) {
 
 func TestTaskEndHandsBudgetToWaitingCritical(t *testing.T) {
 	eng, m, r := newRig(t, 4, 1)
-	busy(m, 0, func() { r.TaskStart(0, true, func() {}) })
+	busy(m, 0, func() { r.TaskStart(0, true, sim.Func(func() {})) })
 	eng.Run()
-	busy(m, 1, func() { r.TaskStart(1, true, func() {}) })
+	busy(m, 1, func() { r.TaskStart(1, true, sim.Func(func() {})) })
 	eng.Run()
 	if r.Accelerated(1) {
 		t.Fatal("setup: core 1 should be waiting non-accelerated")
 	}
-	busy(m, 0, func() { r.TaskEnd(0, func() {}) })
+	busy(m, 0, func() { r.TaskEnd(0, sim.Func(func() {})) })
 	eng.Run()
 	if r.Accelerated(0) {
 		t.Fatal("finished core still accelerated")
@@ -138,13 +138,13 @@ func TestTaskEndHandsBudgetToWaitingCritical(t *testing.T) {
 
 func TestTaskEndNonAccelerated(t *testing.T) {
 	eng, m, r := newRig(t, 2, 0) // zero budget: nothing ever accelerates
-	busy(m, 0, func() { r.TaskStart(0, true, func() {}) })
+	busy(m, 0, func() { r.TaskStart(0, true, sim.Func(func() {})) })
 	eng.Run()
 	if r.Accelerated(0) {
 		t.Fatal("accelerated with zero budget")
 	}
 	var ended bool
-	busy(m, 0, func() { r.TaskEnd(0, func() { ended = true }) })
+	busy(m, 0, func() { r.TaskEnd(0, sim.Func(func() { ended = true })) })
 	eng.Run()
 	if !ended {
 		t.Fatal("TaskEnd callback not invoked")
@@ -160,7 +160,7 @@ func TestOperationsSerializeThroughLock(t *testing.T) {
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		busy(m, i, func() { r.TaskStart(i, false, func() { order = append(order, i) }) })
+		busy(m, i, func() { r.TaskStart(i, false, sim.Func(func() { order = append(order, i) })) })
 	}
 	eng.Run()
 	if len(order) != 3 {
@@ -186,7 +186,7 @@ func TestOperationsSerializeThroughLock(t *testing.T) {
 
 func TestOpTimeTotalAccumulates(t *testing.T) {
 	eng, m, r := newRig(t, 2, 2)
-	busy(m, 0, func() { r.TaskStart(0, false, func() {}) })
+	busy(m, 0, func() { r.TaskStart(0, false, sim.Func(func() {})) })
 	eng.Run()
 	if r.OpTimeTotal() <= 0 {
 		t.Fatal("OpTimeTotal not accumulated")
@@ -222,19 +222,19 @@ func TestBudgetNeverExceededProperty(t *testing.T) {
 				}
 			}
 			if running {
-				r.TaskEnd(core, func() {
+				r.TaskEnd(core, sim.Func(func() {
 					check()
-					eng.After(sim.Time(rng.Intn(30))*sim.Microsecond, func() {
+					eng.After(sim.Time(rng.Intn(30))*sim.Microsecond, sim.Func(func() {
 						drive(core, remaining-1, false)
-					})
-				})
+					}))
+				}))
 			} else {
-				r.TaskStart(core, rng.Bool(0.4), func() {
+				r.TaskStart(core, rng.Bool(0.4), sim.Func(func() {
 					check()
-					eng.After(sim.Time(rng.Intn(30))*sim.Microsecond, func() {
+					eng.After(sim.Time(rng.Intn(30))*sim.Microsecond, sim.Func(func() {
 						drive(core, remaining-1, true)
-					})
-				})
+					}))
+				}))
 			}
 		}
 		for c := 0; c < cores; c++ {
@@ -249,8 +249,7 @@ func TestBudgetNeverExceededProperty(t *testing.T) {
 	}
 }
 
-// TestOperationsZeroAllocs pins the RSM's preallocated continuations:
-// every TaskStart branch (free budget, victim swap, deny) and every
+// TestOperationsZeroAllocs pins the RSM's stage events: every TaskStart branch (free budget, victim swap, deny) and every
 // TaskEnd branch (not accelerated, no waiting critical task, hand-off)
 // allocates nothing in steady state, cpufreq writes and DVFS
 // transitions included. Each cycle returns the RSM to the state its
@@ -261,7 +260,7 @@ func TestOperationsZeroAllocs(t *testing.T) {
 		fn   func()
 	}
 	type deltas struct{ accels, decels, denies int64 }
-	nop := func() {}
+	nop := sim.Func(func() {})
 	for _, tc := range []struct {
 		name         string
 		setup, cycle func(r *RSM) []step
@@ -333,7 +332,7 @@ func TestOperationsZeroAllocs(t *testing.T) {
 			eng.Run()
 			run := func(steps []step) {
 				for _, s := range steps {
-					m.Core(s.core).Exec(0, 0, s.fn)
+					m.Core(s.core).Exec(0, 0, sim.Func(s.fn))
 					eng.Run()
 				}
 			}
@@ -363,11 +362,11 @@ func TestOperationsZeroAllocs(t *testing.T) {
 // time.
 func TestOverlappingOperationsPanic(t *testing.T) {
 	_, _, r := newRig(t, 2, 1)
-	r.TaskStart(0, false, func() {})
+	r.TaskStart(0, false, sim.Func(func() {}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("second operation on a core with one in flight did not panic")
 		}
 	}()
-	r.TaskEnd(0, func() {})
+	r.TaskEnd(0, sim.Func(func() {}))
 }

@@ -31,20 +31,20 @@ func TestHaltAwareReleasesBudgetDuringIO(t *testing.T) {
 	}
 	var critAtWake rsm.CritState = -1
 	var ioDone bool
-	m.Core(0).Exec(1000, 0, func() {
-		m.Core(0).HaltFor(200*sim.Microsecond, func() {
+	m.Core(0).Exec(1000, 0, sim.Func(func() {
+		m.Core(0).HaltFor(200*sim.Microsecond, sim.Func(func() {
 			// Back from IO, still inside the task: criticality must be
 			// restored, but core 1 (running critical) keeps the slot.
 			critAtWake = r.ReadCritic(0)
 			ioDone = true
 			r.EndTask(0) // task completes; worker would idle next
 			m.Core(0).Idle()
-		})
-	})
+		}))
+	}))
 	// While core 0 sleeps, a critical task starts on core 1.
-	eng.At(50*sim.Microsecond, func() {
-		m.Core(1).Exec(0, 0, func() { r.StartTask(1, true) })
-	})
+	eng.At(50*sim.Microsecond, sim.Func(func() {
+		m.Core(1).Exec(0, 0, sim.Func(func() { r.StartTask(1, true) }))
+	}))
 
 	eng.RunUntil(100 * sim.Microsecond) // inside the IO halt
 	if r.Accelerated(0) {
@@ -72,13 +72,13 @@ func TestHaltAwareRestoresAccelerationOnWake(t *testing.T) {
 	eng, m, r, _ := haRig(t, 4, 1)
 	r.StartTask(0, true)
 	var wokeAccelerated bool
-	m.Core(0).Exec(1000, 0, func() {
-		m.Core(0).HaltFor(100*sim.Microsecond, func() {
+	m.Core(0).Exec(1000, 0, sim.Func(func() {
+		m.Core(0).HaltFor(100*sim.Microsecond, sim.Func(func() {
 			wokeAccelerated = r.Accelerated(0)
 			r.EndTask(0)
 			m.Core(0).Idle()
-		})
-	})
+		}))
+	}))
 	eng.Run()
 	// Nothing competed during the halt: the task must regain its slot.
 	if !wokeAccelerated {
@@ -104,18 +104,18 @@ func TestHaltAwareNonAcceleratedTaskParksQuietly(t *testing.T) {
 	r.StartTask(1, true) // critical, non-accelerated
 	// Keep core 0 genuinely busy so its slot-holding matches its RSU
 	// state for the duration of the test.
-	m.Core(0).Exec(10_000_000, 0, func() {
+	m.Core(0).Exec(10_000_000, 0, sim.Func(func() {
 		r.EndTask(0)
 		m.Core(0).Idle()
-	})
+	}))
 	var sawCrit rsm.CritState = -1
-	m.Core(1).Exec(1000, 0, func() {
-		m.Core(1).HaltFor(50*sim.Microsecond, func() {
+	m.Core(1).Exec(1000, 0, sim.Func(func() {
+		m.Core(1).HaltFor(50*sim.Microsecond, sim.Func(func() {
 			sawCrit = r.ReadCritic(1)
 			r.EndTask(1)
 			m.Core(1).Idle()
-		})
-	})
+		}))
+	}))
 	eng.RunUntil(100 * sim.Microsecond)
 	if ha.Reclaims() != 0 {
 		t.Fatalf("non-accelerated halt counted as reclaim: %d", ha.Reclaims())

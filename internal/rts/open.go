@@ -89,7 +89,7 @@ func (r *Runtime) Inject(at sim.Time, jobID int, build func() (*program.Program,
 		return fmt.Errorf("rts: Inject with nil build function")
 	}
 	r.open.pending++
-	r.eng.At(at, func() { r.openArrive(jobID, build) })
+	r.eng.At(at, sim.Func(func() { r.openArrive(jobID, build) }))
 	return nil
 }
 

@@ -5,18 +5,19 @@ import (
 
 	"cata/internal/machine"
 	"cata/internal/rsm"
+	"cata/internal/sim"
 	"cata/internal/tdg"
 )
 
 // Reconfigurer is the runtime's hook into a hardware-reconfiguration
 // mechanism. TaskStart is invoked after a task is dispatched to a core and
-// before its body executes; TaskEnd after the body finishes. done must be
-// called exactly once when the runtime may proceed; any time consumed in
+// before its body executes; TaskEnd after the body finishes. done must
+// fire exactly once when the runtime may proceed; any time consumed in
 // between is reconfiguration overhead on the task's critical path (§V-C).
 type Reconfigurer interface {
 	Name() string
-	TaskStart(core int, t *tdg.Task, done func())
-	TaskEnd(core int, t *tdg.Task, done func())
+	TaskStart(core int, t *tdg.Task, done sim.Event)
+	TaskEnd(core int, t *tdg.Task, done sim.Event)
 }
 
 // NoReconfig is the null mechanism used by FIFO, CATS and TurboMode
@@ -27,10 +28,10 @@ type NoReconfig struct{}
 func (NoReconfig) Name() string { return "none" }
 
 // TaskStart implements Reconfigurer.
-func (NoReconfig) TaskStart(_ int, _ *tdg.Task, done func()) { done() }
+func (NoReconfig) TaskStart(_ int, _ *tdg.Task, done sim.Event) { done.Fire() }
 
 // TaskEnd implements Reconfigurer.
-func (NoReconfig) TaskEnd(_ int, _ *tdg.Task, done func()) { done() }
+func (NoReconfig) TaskEnd(_ int, _ *tdg.Task, done sim.Event) { done.Fire() }
 
 // RSMReconfig drives CATA's software reconfiguration module: every task
 // start/end runs the §III-A algorithm under the runtime lock, paying the
@@ -41,12 +42,12 @@ type RSMReconfig struct{ RSM *rsm.RSM }
 func (r RSMReconfig) Name() string { return "rsm" }
 
 // TaskStart implements Reconfigurer.
-func (r RSMReconfig) TaskStart(core int, t *tdg.Task, done func()) {
+func (r RSMReconfig) TaskStart(core int, t *tdg.Task, done sim.Event) {
 	r.RSM.TaskStart(core, t.Critical, done)
 }
 
 // TaskEnd implements Reconfigurer.
-func (r RSMReconfig) TaskEnd(core int, _ *tdg.Task, done func()) {
+func (r RSMReconfig) TaskEnd(core int, _ *tdg.Task, done sim.Event) {
 	r.RSM.TaskEnd(core, done)
 }
 
@@ -61,8 +62,8 @@ type TaskUnit interface {
 // RSUReconfig drives a hardware task unit: the runtime executes one
 // rsu_start_task/rsu_end_task instruction (a few cycles on the calling
 // core); decision and DVFS programming happen in hardware. Build it with
-// NewRSUReconfig: each core's instruction in flight is a preallocated
-// continuation, and a core issues one at a time.
+// NewRSUReconfig: each core's instruction in flight is the target of its
+// own retire event, and a core issues one at a time.
 type RSUReconfig struct {
 	unit     TaskUnit
 	mach     *machine.Machine
@@ -70,28 +71,27 @@ type RSUReconfig struct {
 	ops      []rsuOp
 }
 
-// rsuOp is one core's RSU instruction in flight.
+// rsuOp is one core's RSU instruction in flight; a pending done marks it
+// busy.
 type rsuOp struct {
 	r        *RSUReconfig
 	core     int
-	busy     bool
 	critical bool
-	done     func()
-
-	startCb func() // rsu_start_task retired: notify the unit
-	endCb   func() // rsu_end_task retired: notify the unit
+	done     sim.Event
 }
+
+// rsuOp ops: which instruction retired.
+const (
+	opRSUStart uint8 = iota // rsu_start_task retired: notify the unit
+	opRSUEnd                // rsu_end_task retired: notify the unit
+)
 
 // NewRSUReconfig returns the runtime's driver for unit on mach, charging
 // opCycles per instruction.
 func NewRSUReconfig(unit TaskUnit, mach *machine.Machine, opCycles int64) *RSUReconfig {
 	r := &RSUReconfig{unit: unit, mach: mach, opCycles: opCycles, ops: make([]rsuOp, mach.Cores())}
 	for i := range r.ops {
-		o := &r.ops[i]
-		o.r = r
-		o.core = i
-		o.startCb = o.started
-		o.endCb = o.ended
+		r.ops[i] = rsuOp{r: r, core: i}
 	}
 	return r
 }
@@ -100,41 +100,35 @@ func NewRSUReconfig(unit TaskUnit, mach *machine.Machine, opCycles int64) *RSURe
 func (r *RSUReconfig) Name() string { return "rsu" }
 
 // TaskStart implements Reconfigurer.
-func (r *RSUReconfig) TaskStart(core int, t *tdg.Task, done func()) {
-	o := r.begin(core, done)
-	o.critical = t.Critical
-	r.mach.Core(core).Exec(r.opCycles, 0, o.startCb)
+func (r *RSUReconfig) TaskStart(core int, t *tdg.Task, done sim.Event) {
+	r.issue(core, opRSUStart, t.Critical, done)
 }
 
 // TaskEnd implements Reconfigurer.
-func (r *RSUReconfig) TaskEnd(core int, _ *tdg.Task, done func()) {
-	r.mach.Core(core).Exec(r.opCycles, 0, r.begin(core, done).endCb)
+func (r *RSUReconfig) TaskEnd(core int, _ *tdg.Task, done sim.Event) {
+	r.issue(core, opRSUEnd, false, done)
 }
 
-// begin claims the core's instruction slot.
-func (r *RSUReconfig) begin(core int, done func()) *rsuOp {
+// issue claims the core's instruction slot and executes the instruction.
+func (r *RSUReconfig) issue(core int, op uint8, critical bool, done sim.Event) {
 	o := &r.ops[core]
-	if o.busy {
+	if o.done.T != nil {
 		panic(fmt.Sprintf("rts: RSU instruction on core %d while another is in flight", core))
 	}
-	o.busy = true
+	o.critical = critical
 	o.done = done
-	return o
+	r.mach.Core(core).Exec(r.opCycles, 0, sim.Event{T: o, Op: op})
 }
 
-func (o *rsuOp) started() {
-	o.r.unit.StartTask(o.core, o.critical)
-	o.finish()
-}
-
-func (o *rsuOp) ended() {
-	o.r.unit.EndTask(o.core)
-	o.finish()
-}
-
-func (o *rsuOp) finish() {
+// Fire implements sim.Target: the instruction retired, so notify the
+// unit and hand control back to the runtime.
+func (o *rsuOp) Fire(op uint8) {
+	if op == opRSUStart {
+		o.r.unit.StartTask(o.core, o.critical)
+	} else {
+		o.r.unit.EndTask(o.core)
+	}
 	done := o.done
-	o.done = nil
-	o.busy = false
-	done()
+	o.done = sim.Event{}
+	done.Fire()
 }

@@ -4,21 +4,21 @@ import (
 	"testing"
 
 	"cata/internal/rsu"
+	"cata/internal/sim"
 	"cata/internal/tdg"
 )
 
-// TestRSUReconfigZeroAllocs pins the RSU driver's preallocated
-// continuations: an rsu_start_task/rsu_end_task pair, with the
+// TestRSUReconfigZeroAllocs pins the RSU driver's retire events: an rsu_start_task/rsu_end_task pair, with the
 // hardware's DVFS transitions, allocates nothing in steady state.
 func TestRSUReconfigZeroAllocs(t *testing.T) {
 	eng, m := newMachine(t, 4)
 	unit := rsu.New(eng, m)
 	unit.Init(1)
 	rc := NewRSUReconfig(unit, m, 4)
-	nop := func() {}
+	nop := sim.Func(func() {})
 	task := &tdg.Task{Critical: true}
-	start := func() { rc.TaskStart(0, task, nop) }
-	end := func() { rc.TaskEnd(0, task, nop) }
+	start := sim.Func(func() { rc.TaskStart(0, task, nop) })
+	end := sim.Func(func() { rc.TaskEnd(0, task, nop) })
 	cycle := func() {
 		m.Core(0).Exec(0, 0, start)
 		eng.Run()
@@ -43,11 +43,11 @@ func TestRSUReconfigOverlapPanics(t *testing.T) {
 	unit.Init(1)
 	rc := NewRSUReconfig(unit, m, 4)
 	task := &tdg.Task{}
-	rc.TaskStart(0, task, func() {})
+	rc.TaskStart(0, task, sim.Func(func() {}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("second RSU instruction on a core with one in flight did not panic")
 		}
 	}()
-	rc.TaskEnd(0, task, func() {})
+	rc.TaskEnd(0, task, sim.Func(func() {}))
 }

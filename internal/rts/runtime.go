@@ -76,7 +76,6 @@ type Runtime struct {
 	rec      probe.Recorder
 	critq    sched.CritQueue // non-nil when schedq splits by criticality
 	pinned   sched.Pinned    // non-nil when schedq binds tasks to cores
-	sampleCb func()          // re-armed ready-queue sampler continuation
 
 	graph *tdg.Graph
 	// idle indexes the cores currently in the runtime idle set; critRunning
@@ -110,23 +109,33 @@ type Runtime struct {
 	retained      []*tdg.Task
 }
 
-// coreRun is one core's dispatch pipeline state. Every stage continuation
-// the runtime hands to the machine or the reconfigurer is allocated once
-// here, at construction; dispatching a task then costs zero closure
-// allocations no matter how many events it schedules.
+// Runtime ops: the runtime's own timers.
+const (
+	opSample    uint8 = iota // periodic ready-queue probe
+	opTimeout                // MaxSimTime reached
+	opOpenCheck              // t=0 finish check of an open run
+)
+
+// coreRun is one core's dispatch pipeline state. It is the target of
+// every stage event the runtime hands to the machine or the
+// reconfigurer, so dispatching a task allocates nothing no matter how
+// many events it schedules.
 type coreRun struct {
 	r    *Runtime
 	core int
 	task *tdg.Task // task currently owned by this core's pipeline
-
-	workerCb     func() // enter workerLoop
-	dispatchedCb func() // scheduler cost paid -> reconfig TaskStart
-	startBodyCb  func() // reconfiguration done -> start the task body
-	bodyDoneCb   func() // body finished -> optional IO halt -> complete
-	completeCb   func() // IO done -> complete bookkeeping
-	endedCb      func() // reconfig TaskEnd done -> completion cost
-	finishedCb   func() // completion cost paid -> release successors, loop
 }
+
+// coreRun stages.
+const (
+	opWorker     uint8 = iota // enter workerLoop
+	opDispatched              // scheduler cost paid -> reconfig TaskStart
+	opStartBody               // reconfiguration done -> start the task body
+	opBodyDone                // body finished -> optional IO halt -> complete
+	opComplete                // IO done -> complete bookkeeping
+	opEnded                   // reconfig TaskEnd done -> completion cost
+	opFinished                // completion cost paid -> release successors, loop
+)
 
 // New builds a runtime from the configuration.
 func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
@@ -173,16 +182,7 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 	}
 	r.percore = make([]coreRun, cfg.Machine.Cores())
 	for i := range r.percore {
-		cs := &r.percore[i]
-		cs.r = r
-		cs.core = i
-		cs.workerCb = cs.worker
-		cs.dispatchedCb = cs.dispatched
-		cs.startBodyCb = cs.startBody
-		cs.bodyDoneCb = cs.bodyDone
-		cs.completeCb = cs.complete
-		cs.endedCb = cs.ended
-		cs.finishedCb = cs.finished
+		r.percore[i] = coreRun{r: r, core: i}
 	}
 	r.graph = tdg.New(r.onTaskReady)
 	r.schedq = cfg.NewScheduler(r)
@@ -232,32 +232,22 @@ func (r *Runtime) AnyFastIdle() bool {
 // afterwards (the clock stops at the makespan).
 func (r *Runtime) Run() (Result, error) {
 	for i := 0; i < r.mach.Cores(); i++ {
-		r.eng.At(0, r.percore[i].workerCb)
+		r.eng.At(0, r.worker(i))
 	}
 	if r.opts.MaxSimTime > 0 {
-		r.eng.At(r.opts.MaxSimTime, func() {
-			if !r.finished {
-				r.timedOut = true
-				r.eng.Stop()
-			}
-		})
+		r.eng.At(r.opts.MaxSimTime, sim.Event{T: r, Op: opTimeout})
 	}
 	if r.rec != nil {
 		// The sampler is scheduled only while a recorder is attached —
 		// it is read-only, so task timing is unchanged, and with no
 		// recorder the event queue is bit-identical to the unprobed run.
-		r.sampleCb = r.sampleQueues
-		r.eng.After(queueSamplePeriod, r.sampleCb)
+		r.eng.After(queueSamplePeriod, sim.Event{T: r, Op: opSample})
 	}
 	if r.open != nil {
 		// Degenerate open runs (every arrival shed before t=0, or none
 		// injected) would otherwise never reach a completion-side finish
 		// check. Open-mode only: closed runs add no extra event.
-		r.eng.At(0, func() {
-			if !r.finished && r.openFinished() {
-				r.finish()
-			}
-		})
+		r.eng.At(0, sim.Event{T: r, Op: opOpenCheck})
 	}
 	r.eng.Run()
 
@@ -285,6 +275,39 @@ func (r *Runtime) Run() (Result, error) {
 		StaticBindingEvents: r.staticBinding,
 		ReadyWait:           r.readyWait,
 	}, nil
+}
+
+// Fire implements sim.Target: one of the runtime's own timers fired.
+func (r *Runtime) Fire(op uint8) {
+	switch op {
+	case opSample:
+		// The periodic ready-queue probe: the scheduler's depth (and the
+		// critical share when the policy splits queues), re-armed until
+		// the run finishes.
+		if r.finished || r.timedOut {
+			return
+		}
+		crit := 0
+		if r.critq != nil {
+			crit = r.critq.CritLen()
+		}
+		r.rec.QueueDepth(r.eng.Now(), r.schedq.Len(), crit)
+		r.eng.After(queueSamplePeriod, sim.Event{T: r, Op: opSample})
+	case opTimeout:
+		if !r.finished {
+			r.timedOut = true
+			r.eng.Stop()
+		}
+	case opOpenCheck:
+		if !r.finished && r.openFinished() {
+			r.finish()
+		}
+	}
+}
+
+// worker is the event that enters core's scheduling loop.
+func (r *Runtime) worker(core int) sim.Event {
+	return sim.Event{T: &r.percore[core], Op: opWorker}
 }
 
 // workerLoop is each core's scheduling loop entry: run the master thread
@@ -342,7 +365,7 @@ func (r *Runtime) creatorStep() {
 	visited := r.graph.Submit(t) // may fire onTaskReady synchronously
 	r.submitVisited += int64(visited)
 	cost := r.opts.CreateCycles + r.est.SubmitCostCycles(visited)
-	r.mach.Core(0).Exec(cost, 0, r.percore[0].workerCb)
+	r.mach.Core(0).Exec(cost, 0, r.worker(0))
 }
 
 // fillTask stamps a slab task about to be submitted with its ID, its
@@ -373,21 +396,6 @@ func (r *Runtime) onTaskReady(t *tdg.Task) {
 	r.wakeForTask(t)
 }
 
-// sampleQueues is the periodic ready-queue probe: it reads the
-// scheduler's depth (and the critical share when the policy splits
-// queues) and re-arms itself until the run finishes.
-func (r *Runtime) sampleQueues() {
-	if r.finished || r.timedOut {
-		return
-	}
-	crit := 0
-	if r.critq != nil {
-		crit = r.critq.CritLen()
-	}
-	r.rec.QueueDepth(r.eng.Now(), r.schedq.Len(), crit)
-	r.eng.After(queueSamplePeriod, r.sampleCb)
-}
-
 // wakeForTask wakes at most one idle core for a newly ready task.
 func (r *Runtime) wakeForTask(t *tdg.Task) {
 	core := r.pickIdleCore(t)
@@ -399,7 +407,7 @@ func (r *Runtime) wakeForTask(t *tdg.Task) {
 
 func (r *Runtime) wakeWorker(core int) {
 	r.idle.clear(core)
-	r.mach.Core(core).Wake(r.percore[core].workerCb)
+	r.mach.Core(core).Wake(r.worker(core))
 }
 
 // pickIdleCore selects which idle core to wake. A pinned scheduler
@@ -471,80 +479,70 @@ func (r *Runtime) goIdle(core int) {
 
 // dispatch runs one task on a core: scheduler cost, reconfiguration
 // (TaskStart), body, optional IO halt, reconfiguration (TaskEnd),
-// completion bookkeeping, then loop. The stages are the pre-allocated
-// continuations of the core's coreRun.
+// completion bookkeeping, then loop. The stages are the ops of the
+// core's coreRun.
 func (r *Runtime) dispatch(core int, t *tdg.Task) {
 	cs := &r.percore[core]
 	cs.task = t
 	if r.rec != nil {
 		r.rec.TaskDispatch(r.eng.Now(), t, core)
 	}
-	r.mach.Core(core).Exec(r.opts.DispatchCycles, 0, cs.dispatchedCb)
+	r.mach.Core(core).Exec(r.opts.DispatchCycles, 0, sim.Event{T: cs, Op: opDispatched})
 }
 
-func (cs *coreRun) worker() { cs.r.workerLoop(cs.core) }
-
-func (cs *coreRun) dispatched() {
-	cs.r.reconfig.TaskStart(cs.core, cs.task, cs.startBodyCb)
-}
-
-func (cs *coreRun) startBody() {
-	r, t := cs.r, cs.task
-	r.graph.Start(t)
-	t.StartedAt = r.eng.Now()
-	t.Core = cs.core
-	r.readyWait.ObserveTime(t.StartedAt - t.ReadyAt)
-	if r.rec != nil {
-		r.rec.TaskStart(t.StartedAt, t, cs.core, t.StartedAt-t.ReadyAt)
-	}
-	if t.Critical {
-		r.critTasks++
-		r.critRunning.set(cs.core)
-	}
-	r.mach.Core(cs.core).Exec(t.CPUCycles, t.MemTime, cs.bodyDoneCb)
-}
-
-func (cs *coreRun) bodyDone() {
-	if cs.task.IOTime > 0 {
-		cs.r.mach.Core(cs.core).HaltFor(cs.task.IOTime, cs.completeCb)
-	} else {
-		cs.complete()
-	}
-}
-
-func (cs *coreRun) complete() {
-	r, t := cs.r, cs.task
-	t.EndedAt = r.eng.Now()
-	if r.rec != nil {
-		r.rec.TaskEnd(t.EndedAt, t, cs.core)
-	}
-	r.critRunning.clear(cs.core)
-	r.reconfig.TaskEnd(cs.core, t, cs.endedCb)
-}
-
-func (cs *coreRun) ended() {
-	cs.r.mach.Core(cs.core).Exec(cs.r.opts.CompleteCycles, 0, cs.finishedCb)
-}
-
-func (cs *coreRun) finished() {
-	r := cs.r
-	r.graph.Complete(cs.task) // releases successors; onTaskReady fires
-	r.tasksRun++
-	if r.open != nil {
-		r.openTaskDone(cs.task)
-		if r.openFinished() {
+// Fire implements sim.Target: it runs one stage of the core's pipeline.
+func (cs *coreRun) Fire(stage uint8) {
+	r, t, core := cs.r, cs.task, cs.core
+	switch stage {
+	case opWorker:
+		r.workerLoop(core)
+	case opDispatched:
+		r.reconfig.TaskStart(core, t, sim.Event{T: cs, Op: opStartBody})
+	case opStartBody:
+		r.graph.Start(t)
+		t.StartedAt = r.eng.Now()
+		t.Core = core
+		r.readyWait.ObserveTime(t.StartedAt - t.ReadyAt)
+		if r.rec != nil {
+			r.rec.TaskStart(t.StartedAt, t, core, t.StartedAt-t.ReadyAt)
+		}
+		if t.Critical {
+			r.critTasks++
+			r.critRunning.set(core)
+		}
+		r.mach.Core(core).Exec(t.CPUCycles, t.MemTime, sim.Event{T: cs, Op: opBodyDone})
+	case opBodyDone:
+		if t.IOTime > 0 {
+			r.mach.Core(core).HaltFor(t.IOTime, sim.Event{T: cs, Op: opComplete})
+			return
+		}
+		fallthrough
+	case opComplete:
+		t.EndedAt = r.eng.Now()
+		if r.rec != nil {
+			r.rec.TaskEnd(t.EndedAt, t, core)
+		}
+		r.critRunning.clear(core)
+		r.reconfig.TaskEnd(core, t, sim.Event{T: cs, Op: opEnded})
+	case opEnded:
+		r.mach.Core(core).Exec(r.opts.CompleteCycles, 0, sim.Event{T: cs, Op: opFinished})
+	case opFinished:
+		r.graph.Complete(t) // releases successors; onTaskReady fires
+		r.tasksRun++
+		var done bool
+		if r.open != nil {
+			r.openTaskDone(t)
+			done = r.openFinished()
+		} else {
+			r.maybeWakeCreator()
+			done = r.creatorDone && r.graph.AllDone()
+		}
+		if done {
 			r.finish()
 			return
 		}
-		r.workerLoop(cs.core)
-		return
+		r.workerLoop(core)
 	}
-	r.maybeWakeCreator()
-	if r.creatorDone && r.graph.AllDone() {
-		r.finish()
-		return
-	}
-	r.workerLoop(cs.core)
 }
 
 // maybeWakeCreator wakes core 0 when the master thread was blocked

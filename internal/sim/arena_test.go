@@ -9,9 +9,9 @@ import "testing"
 
 func TestEnginePendingExcludesCancelled(t *testing.T) {
 	e := NewEngine()
-	h1 := e.At(10, func() {})
-	e.At(20, func() {})
-	e.At(30, func() {})
+	h1 := e.At(10, Func(func() {}))
+	e.At(20, Func(func() {}))
+	e.At(30, Func(func() {}))
 	if e.Pending() != 3 {
 		t.Fatalf("Pending = %d, want 3", e.Pending())
 	}
@@ -32,7 +32,7 @@ func TestEngineCancelDuringRun(t *testing.T) {
 	e := NewEngine()
 	var fired []int
 	var h2 Handle
-	e.At(10, func() {
+	e.At(10, Func(func() {
 		fired = append(fired, 1)
 		if !h2.Cancel() {
 			t.Error("cancelling a pending later event returned false")
@@ -40,9 +40,9 @@ func TestEngineCancelDuringRun(t *testing.T) {
 		if e.Pending() != 1 {
 			t.Errorf("Pending inside event = %d, want 1 (the 30 event)", e.Pending())
 		}
-	})
-	h2 = e.At(20, func() { fired = append(fired, 2) })
-	e.At(30, func() { fired = append(fired, 3) })
+	}))
+	h2 = e.At(20, Func(func() { fired = append(fired, 2) }))
+	e.At(30, Func(func() { fired = append(fired, 3) }))
 	e.Run()
 	if len(fired) != 2 || fired[0] != 1 || fired[1] != 3 {
 		t.Fatalf("fired = %v, want [1 3]", fired)
@@ -53,10 +53,10 @@ func TestEngineCancelDuringRun(t *testing.T) {
 // fired cannot cancel a later event that recycled the same arena slot.
 func TestEngineSlotReuseGeneration(t *testing.T) {
 	e := NewEngine()
-	h1 := e.At(1, func() {})
+	h1 := e.At(1, Func(func() {}))
 	e.Run() // fires h1, releasing its slot
 	fired := false
-	h2 := e.At(2, func() { fired = true }) // reuses the slot
+	h2 := e.At(2, Func(func() { fired = true })) // reuses the slot
 	if h1.Pending() {
 		t.Fatal("stale handle reports pending")
 	}
@@ -76,12 +76,12 @@ func TestEngineSlotReuseGeneration(t *testing.T) {
 // for a slot recycled through the cancel path rather than the fire path.
 func TestEngineCancelledStaleHandleAfterReuse(t *testing.T) {
 	e := NewEngine()
-	h1 := e.At(5, func() { t.Error("cancelled event fired") })
+	h1 := e.At(5, Func(func() { t.Error("cancelled event fired") }))
 	h1.Cancel()
-	e.At(6, func() {}) // forces the engine to discard h1's entry later
-	e.Run()            // discards h1's entry, releasing its slot
+	e.At(6, Func(func() {})) // forces the engine to discard h1's entry later
+	e.Run()                  // discards h1's entry, releasing its slot
 	fired := false
-	h2 := e.At(7, func() { fired = true })
+	h2 := e.At(7, Func(func() { fired = true }))
 	if h1.Cancel() || h1.Pending() {
 		t.Fatal("stale cancelled handle still resolves")
 	}
@@ -103,7 +103,7 @@ func TestEngineCancelReschedule(t *testing.T) {
 		if h.Pending() {
 			h.Cancel()
 		}
-		h = e.At(at, func() { fireAt = e.Now() })
+		h = e.At(at, Func(func() { fireAt = e.Now() }))
 	}
 	schedule(100)
 	for i := 0; i < 50; i++ {
@@ -125,9 +125,9 @@ func TestEngineCancelReschedule(t *testing.T) {
 // of the queue must not stop RunUntil from reaching later events.
 func TestEngineCancelHeadDoesNotBlockRunUntil(t *testing.T) {
 	e := NewEngine()
-	h := e.At(10, func() { t.Error("cancelled head fired") })
+	h := e.At(10, Func(func() { t.Error("cancelled head fired") }))
 	fired := false
-	e.At(20, func() { fired = true })
+	e.At(20, Func(func() { fired = true }))
 	h.Cancel()
 	if n := e.RunUntil(25); n != 1 {
 		t.Fatalf("RunUntil executed %d, want 1", n)
@@ -141,7 +141,7 @@ func TestEngineCancelAllThenRun(t *testing.T) {
 	e := NewEngine()
 	var hs []Handle
 	for i := Time(1); i <= 8; i++ {
-		hs = append(hs, e.At(i, func() { t.Error("cancelled event fired") }))
+		hs = append(hs, e.At(i, Func(func() { t.Error("cancelled event fired") })))
 	}
 	for _, h := range hs {
 		h.Cancel()
@@ -173,7 +173,7 @@ func TestEngineZeroHandle(t *testing.T) {
 func TestEngineArenaReuse(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 10000; i++ {
-		e.After(1, func() {})
+		e.After(1, Func(func() {}))
 		e.Run()
 	}
 	if len(e.arena) > 16 {
@@ -189,7 +189,7 @@ func BenchmarkEngineCancelReschedule(b *testing.B) {
 		if h.Pending() {
 			h.Cancel()
 		}
-		h = e.After(Time(i%100+1), func() {})
+		h = e.After(Time(i%100+1), Func(func() {}))
 		if i%64 == 0 {
 			e.Run()
 		}
@@ -202,15 +202,16 @@ func BenchmarkEngineCancelReschedule(b *testing.B) {
 func BenchmarkEngineDeepQueue(b *testing.B) {
 	e := NewEngine()
 	for i := 0; i < 4096; i++ {
-		e.After(Time(i+1), func() {})
+		e.After(Time(i+1), Func(func() {}))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	n := 0
+	ev := Func(func() { n++ }) // built once: the loop measures the engine, not a closure
 	e.RunUntil(0)
 	for i := 0; i < b.N; i++ {
 		// Fire one event and schedule a replacement, keeping depth steady.
-		e.After(Time(4096), func() { n++ })
+		e.After(Time(4096), ev)
 		e.RunUntil(e.Now() + 1)
 	}
 }

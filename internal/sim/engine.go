@@ -2,6 +2,34 @@ package sim
 
 import "fmt"
 
+// Target receives the events scheduled for it. A simulator layer keeps
+// its per-core stage state in a struct whose Fire method is one switch
+// over the layer's op codes; scheduling an event that names a pointer to
+// that struct allocates nothing.
+type Target interface{ Fire(op uint8) }
+
+// Event is a continuation: when it fires, the engine calls T.Fire(Op).
+// Layers hand each other Events as their done callbacks too, so one
+// value type names every scheduled and every pending step. The zero
+// Event names nothing.
+type Event struct {
+	T  Target
+	Op uint8
+}
+
+// Fire runs the continuation now, on the caller's timeline.
+func (ev Event) Fire() { ev.T.Fire(ev.Op) }
+
+// Func wraps a plain function as an Event, for continuations that carry
+// state no layer struct holds (one open-system arrival's job) and for
+// tests. The closure allocates as closures do; the simulator's hot paths
+// schedule pointer targets instead.
+func Func(fn func()) Event { return Event{T: funcTarget(fn)} }
+
+type funcTarget func()
+
+func (f funcTarget) Fire(uint8) { f() }
+
 // Handle identifies a scheduled event and allows cancelling it before it
 // fires. The zero value is invalid; handles are obtained from Engine.At and
 // Engine.After.
@@ -25,11 +53,10 @@ func (h Handle) Cancel() bool {
 		return false
 	}
 	s := &h.eng.arena[h.idx]
-	if s.gen != h.gen || s.cancelled {
+	if s.gen != h.gen || s.t == nil {
 		return false
 	}
-	s.cancelled = true
-	s.fn = nil // release the closure now; the heap entry is discarded lazily
+	s.t = nil // marks it cancelled; the heap entry is discarded lazily
 	h.eng.live--
 	return true
 }
@@ -40,24 +67,26 @@ func (h Handle) Pending() bool {
 		return false
 	}
 	s := &h.eng.arena[h.idx]
-	return s.gen == h.gen && !s.cancelled
+	return s.gen == h.gen && s.t != nil
 }
 
-// eventSlot is one arena entry. The timestamp and FIFO sequence live in the
-// heap entry, not here: the heap's sift comparisons then never chase a
-// pointer into the arena.
+// eventSlot is one arena entry: the event's target, nil once the event is
+// cancelled. The timestamp and FIFO sequence live in the heap entry, not
+// here: the heap's sift comparisons then never chase a pointer into the
+// arena.
 type eventSlot struct {
-	fn        func()
-	gen       uint64 // 64-bit: a recycled-slot counter that can never wrap in practice
-	cancelled bool
+	t   Target
+	gen uint64 // 64-bit: a recycled-slot counter that can never wrap in practice
 }
 
 // heapEnt is one entry of the inline 4-ary min-heap: the full ordering key
-// (timestamp, FIFO sequence) plus the arena slot it resolves to.
+// (timestamp, FIFO sequence), the arena slot it resolves to, and the
+// event's op, which fits the entry's padding.
 type heapEnt struct {
 	at  Time
 	seq uint64
 	idx int32
+	op  uint8
 }
 
 func (a heapEnt) before(b heapEnt) bool {
@@ -106,50 +135,49 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // discarded lazily.
 func (e *Engine) Pending() int { return e.live }
 
-// At schedules fn to run at absolute time t. Scheduling in the past (t <
+// At schedules ev to fire at absolute time t. Scheduling in the past (t <
 // Now) panics: it always indicates a model bug, and silently clamping would
 // hide it.
-func (e *Engine) At(t Time, fn func()) Handle {
+func (e *Engine) At(t Time, ev Event) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
-	if fn == nil {
-		panic("sim: scheduling nil event function")
+	if ev.T == nil {
+		panic("sim: scheduling an event with no target")
 	}
-	idx := e.alloc(fn)
-	e.push(heapEnt{at: t, seq: e.seq, idx: idx})
+	idx := e.alloc(ev.T)
+	e.push(heapEnt{at: t, seq: e.seq, idx: idx, op: ev.Op})
 	e.seq++
 	e.live++
 	return Handle{eng: e, idx: idx, gen: e.arena[idx].gen}
 }
 
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) Handle {
+// After schedules ev to fire d after the current time.
+func (e *Engine) After(d Time, ev Event) Handle {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: scheduling negative delay %v", d))
 	}
-	return e.At(e.now+d, fn)
+	return e.At(e.now+d, ev)
 }
 
 // alloc takes a slot off the free list, growing the arena when empty.
-func (e *Engine) alloc(fn func()) int32 {
+func (e *Engine) alloc(t Target) int32 {
 	if n := len(e.free); n > 0 {
 		idx := e.free[n-1]
 		e.free = e.free[:n-1]
-		e.arena[idx].fn = fn
+		e.arena[idx].t = t
 		return idx
 	}
-	e.arena = append(e.arena, eventSlot{fn: fn})
+	e.arena = append(e.arena, eventSlot{t: t})
 	return int32(len(e.arena) - 1)
 }
 
 // release recycles a slot: bump the generation so outstanding handles go
-// stale, drop the closure, and return the slot to the free list.
+// stale, drop the target, and return the slot to the free list.
 func (e *Engine) release(idx int32) {
 	s := &e.arena[idx]
 	s.gen++
-	s.fn = nil
-	s.cancelled = false
+	s.t = nil
 	e.free = append(e.free, idx)
 }
 
@@ -179,7 +207,8 @@ func (e *Engine) run(stopBefore func(Time) bool) uint64 {
 	var n uint64
 	for len(e.queue) > 0 && !e.stopped {
 		top := e.queue[0]
-		if e.arena[top.idx].cancelled {
+		t := e.arena[top.idx].t
+		if t == nil { // cancelled
 			e.pop()
 			e.release(top.idx)
 			continue
@@ -190,12 +219,11 @@ func (e *Engine) run(stopBefore func(Time) bool) uint64 {
 		if top.at < e.now {
 			panic(fmt.Sprintf("sim: time went backwards: %v -> %v", e.now, top.at))
 		}
-		fn := e.arena[top.idx].fn
 		e.pop()
 		e.release(top.idx)
 		e.now = top.at
 		e.live--
-		fn()
+		t.Fire(top.op)
 		n++
 		e.fired++
 	}

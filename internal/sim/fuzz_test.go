@@ -31,8 +31,8 @@ type scriptHandle interface {
 // arenaAdapter adapts *Engine to scriptEngine.
 type arenaAdapter struct{ e *Engine }
 
-func (a arenaAdapter) At(t Time, fn func()) scriptHandle    { return a.e.At(t, fn) }
-func (a arenaAdapter) After(d Time, fn func()) scriptHandle { return a.e.After(d, fn) }
+func (a arenaAdapter) At(t Time, fn func()) scriptHandle    { return a.e.At(t, Func(fn)) }
+func (a arenaAdapter) After(d Time, fn func()) scriptHandle { return a.e.After(d, Func(fn)) }
 func (a arenaAdapter) Run() uint64                          { return a.e.Run() }
 func (a arenaAdapter) RunUntil(d Time) uint64               { return a.e.RunUntil(d) }
 func (a arenaAdapter) Stop()                                { a.e.Stop() }

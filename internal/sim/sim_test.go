@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -90,9 +91,9 @@ func TestPeriodPanicsOnZero(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	e.At(30, Func(func() { got = append(got, 3) }))
+	e.At(10, Func(func() { got = append(got, 1) }))
+	e.At(20, Func(func() { got = append(got, 2) }))
 	if n := e.Run(); n != 3 {
 		t.Fatalf("Run executed %d events, want 3", n)
 	}
@@ -111,7 +112,7 @@ func TestEngineFIFOAtSameTimestamp(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		e.At(5, Func(func() { got = append(got, i) }))
 	}
 	e.Run()
 	if !sort.IntsAreSorted(got) {
@@ -122,11 +123,11 @@ func TestEngineFIFOAtSameTimestamp(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var trace []Time
-	e.At(10, func() {
+	e.At(10, Func(func() {
 		trace = append(trace, e.Now())
-		e.After(5, func() { trace = append(trace, e.Now()) })
-		e.At(12, func() { trace = append(trace, e.Now()) })
-	})
+		e.After(5, Func(func() { trace = append(trace, e.Now()) }))
+		e.At(12, Func(func() { trace = append(trace, e.Now()) }))
+	}))
 	e.Run()
 	want := []Time{10, 12, 15}
 	if len(trace) != len(want) {
@@ -142,7 +143,7 @@ func TestEngineNestedScheduling(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	h := e.At(10, func() { fired = true })
+	h := e.At(10, Func(func() { fired = true }))
 	if !h.Pending() {
 		t.Fatal("handle should be pending")
 	}
@@ -163,7 +164,7 @@ func TestEngineCancel(t *testing.T) {
 
 func TestEngineCancelAfterFire(t *testing.T) {
 	e := NewEngine()
-	h := e.At(1, func() {})
+	h := e.At(1, Func(func() {}))
 	e.Run()
 	if h.Cancel() {
 		t.Fatal("Cancel after fire returned true")
@@ -174,12 +175,12 @@ func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	var count int
 	for i := Time(1); i <= 10; i++ {
-		e.At(i, func() {
+		e.At(i, Func(func() {
 			count++
 			if count == 4 {
 				e.Stop()
 			}
-		})
+		}))
 	}
 	if n := e.Run(); n != 4 {
 		t.Fatalf("Run executed %d, want 4", n)
@@ -197,9 +198,9 @@ func TestEngineStop(t *testing.T) {
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var count int
-	e.At(10, func() { count++ })
-	e.At(20, func() { count++ })
-	e.At(30, func() { count++ })
+	e.At(10, Func(func() { count++ }))
+	e.At(20, Func(func() { count++ }))
+	e.At(30, Func(func() { count++ }))
 	if n := e.RunUntil(20); n != 2 {
 		t.Fatalf("RunUntil executed %d, want 2", n)
 	}
@@ -219,24 +220,60 @@ func TestEngineRunUntil(t *testing.T) {
 
 func TestEnginePanicsOnPastScheduling(t *testing.T) {
 	e := NewEngine()
-	e.At(100, func() {})
+	e.At(100, Func(func() {}))
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.At(50, func() {})
+	e.At(50, Func(func() {}))
 }
 
 func TestEnginePanicsOnNilFunc(t *testing.T) {
 	e := NewEngine()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("nil event fn did not panic")
+			t.Fatal("event with no target did not panic")
 		}
 	}()
-	e.At(1, nil)
+	e.At(1, Event{})
+}
+
+// opLog is a pointer target recording the ops it is fired with.
+type opLog struct{ ops []uint8 }
+
+func (l *opLog) Fire(op uint8) { l.ops = append(l.ops, op) }
+
+// TestEngineDeliversOps: an event fires its own target with its own op,
+// in (time, scheduling) order, and Event.Fire runs one synchronously.
+func TestEngineDeliversOps(t *testing.T) {
+	e := NewEngine()
+	a, b := &opLog{}, &opLog{}
+	e.At(2, Event{T: a, Op: 7})
+	e.At(1, Event{T: b, Op: 3})
+	e.At(1, Event{T: a, Op: 255})
+	Event{T: b, Op: 9}.Fire()
+	e.Run()
+	if fmt.Sprint(a.ops, b.ops) != "[255 7] [9 3]" {
+		t.Fatalf("ops fired: a=%v b=%v, want a=[255 7] b=[9 3]", a.ops, b.ops)
+	}
+}
+
+// TestEngineScheduleZeroAllocs: scheduling a pointer target and firing
+// it allocates nothing once the arena has warmed up.
+func TestEngineScheduleZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	l := &opLog{ops: make([]uint8, 0, 1)}
+	ev := Event{T: l, Op: 1}
+	allocs := testing.AllocsPerRun(100, func() {
+		l.ops = l.ops[:0]
+		e.After(5, ev)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per schedule+fire, want 0", allocs)
+	}
 }
 
 func TestEnginePanicsOnNegativeDelay(t *testing.T) {
@@ -246,7 +283,7 @@ func TestEnginePanicsOnNegativeDelay(t *testing.T) {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	e.After(-1, func() {})
+	e.After(-1, Func(func() {}))
 }
 
 // Property: for any set of (time, id) pairs, the engine fires them sorted
@@ -262,7 +299,7 @@ func TestEngineOrderProperty(t *testing.T) {
 		for i, tt := range times {
 			at := Time(tt)
 			i := i
-			e.At(at, func() { fired = append(fired, rec{at, i}) })
+			e.At(at, Func(func() { fired = append(fired, rec{at, i}) }))
 		}
 		e.Run()
 		if len(fired) != len(times) {
@@ -293,7 +330,7 @@ func TestEngineCancelProperty(t *testing.T) {
 		handles := make([]Handle, total)
 		for i := 0; i < total; i++ {
 			i := i
-			handles[i] = e.At(Time(rng.Intn(50)), func() { fired[i] = true })
+			handles[i] = e.At(Time(rng.Intn(50)), Func(func() { fired[i] = true }))
 		}
 		cancelled := make([]bool, total)
 		for i := 0; i < total; i++ {
@@ -319,7 +356,7 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	e := NewEngine()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.After(Time(i%1000), func() {})
+		e.After(Time(i%1000), Func(func() {}))
 		if e.Pending() > 10000 {
 			e.Run()
 		}
@@ -329,8 +366,8 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 
 func TestEngineFired(t *testing.T) {
 	e := NewEngine()
-	e.At(1, func() {})
-	e.At(2, func() {})
+	e.At(1, Func(func() {}))
+	e.At(2, Func(func() {}))
 	e.Run()
 	if e.Fired() != 2 {
 		t.Fatalf("Fired = %d", e.Fired())

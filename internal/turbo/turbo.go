@@ -46,10 +46,7 @@ type Controller struct {
 	reassigns  int64
 	wakeBoosts int64
 
-	// handoffCb is the delayed budget hand-off, built once; it needs no
-	// per-halt state, so every pending hand-off shares it. candidates is
-	// pickActive's reusable scratch list.
-	handoffCb  func()
+	// candidates is pickActive's reusable scratch list.
 	candidates []int
 }
 
@@ -69,7 +66,6 @@ func New(eng *sim.Engine, mach *machine.Machine, budget int, rng *xrand.Source) 
 		DecisionLatency: 150 * sim.Microsecond,
 		candidates:      make([]int, 0, mach.Cores()),
 	}
-	c.handoffCb = c.handoff
 	mach.OnHalt(c.onHalt)
 	mach.OnWake(c.onWake)
 	return c
@@ -110,11 +106,13 @@ func (c *Controller) onHalt(core int) {
 		return
 	}
 	c.decelerate(core)
-	c.eng.After(c.DecisionLatency, c.handoffCb)
+	c.eng.After(c.DecisionLatency, sim.Event{T: c})
 }
 
-// handoff lands a halt-triggered budget hand-off.
-func (c *Controller) handoff() {
+// Fire implements sim.Target: a halt-triggered budget hand-off lands. It
+// is the controller's only event and needs no per-halt state, so every
+// pending hand-off names the controller alone.
+func (c *Controller) Fire(uint8) {
 	if c.nAccel >= c.budget {
 		return
 	}

@@ -43,7 +43,7 @@ func TestHaltHandsBudgetToActiveCore(t *testing.T) {
 	// Keep cores 1..3 busy so they are C0 candidates; let core 0 idle-halt.
 	for i := 1; i < 4; i++ {
 		i := i
-		m.Core(i).Exec(10_000_000, 0, func() { m.Core(i).Idle() })
+		m.Core(i).Exec(10_000_000, 0, sim.Func(func() { m.Core(i).Idle() }))
 	}
 	eng.RunUntil(m.Cfg.IdleSpin + sim.Microsecond) // core 0 halts
 	if c.Accelerated(0) {
@@ -78,10 +78,10 @@ func TestWakeBoostOnlyWithinBudget(t *testing.T) {
 	// Core 0 runs a task with an IO phase: on halt it yields, on wake it
 	// may re-acquire.
 	var done bool
-	m.Core(0).Exec(1000, 0, func() {
-		m.Core(0).HaltFor(50*sim.Microsecond, func() { done = true; m.Core(0).Idle() })
-	})
-	m.Core(1).Exec(100_000_000, 0, func() { m.Core(1).Idle() })
+	m.Core(0).Exec(1000, 0, sim.Func(func() {
+		m.Core(0).HaltFor(50*sim.Microsecond, sim.Func(func() { done = true; m.Core(0).Idle() }))
+	}))
+	m.Core(1).Exec(100_000_000, 0, sim.Func(func() { m.Core(1).Idle() }))
 	eng.RunUntil(30 * sim.Microsecond) // inside the IO halt
 	if c.Accelerated(0) {
 		t.Fatal("halted core kept budget during IO")
@@ -113,7 +113,7 @@ func TestNoCandidateLeavesBudgetFree(t *testing.T) {
 func TestBudgetZero(t *testing.T) {
 	eng, m, c := newRig(t, 2, 0)
 	c.Start()
-	m.Core(0).Exec(1000, 0, func() { m.Core(0).Idle() })
+	m.Core(0).Exec(1000, 0, sim.Func(func() { m.Core(0).Idle() }))
 	eng.Run()
 	if c.AcceleratedCount() != 0 || m.DVFS.CommittedFast() != 0 {
 		t.Fatal("zero budget violated")
@@ -150,15 +150,15 @@ func TestTurboBudgetInvariantProperty(t *testing.T) {
 				m.Core(core).Idle()
 				return
 			}
-			m.Core(core).Exec(int64(rng.Intn(50000)+1000), 0, func() {
+			m.Core(core).Exec(int64(rng.Intn(50000)+1000), 0, sim.Func(func() {
 				if rng.Bool(0.4) {
-					m.Core(core).HaltFor(sim.Time(rng.Intn(40))*sim.Microsecond, func() {
+					m.Core(core).HaltFor(sim.Time(rng.Intn(40))*sim.Microsecond, sim.Func(func() {
 						cycle(core, remaining-1)
-					})
+					}))
 				} else {
 					cycle(core, remaining-1)
 				}
-			})
+			}))
 		}
 		for i := 0; i < cores; i++ {
 			cycle(i, 4)
@@ -187,12 +187,12 @@ func TestPanicsOnBadBudget(t *testing.T) {
 
 var _ = energy.Fast // keep energy import for documentation symmetry
 
-// TestHaltHandoffZeroAllocs pins the controller's preallocated hand-off:
+// TestHaltHandoffZeroAllocs pins the controller's hand-off event:
 // a halting accelerated core passing its budget to an active core, and
 // the transitions that follow, allocate nothing in steady state.
 func TestHaltHandoffZeroAllocs(t *testing.T) {
 	eng, m, c := newRig(t, 2, 1)
-	nop := func() {}
+	nop := sim.Func(func() {})
 	for i := 0; i < 2; i++ {
 		m.Core(i).Exec(0, 0, nop) // busy, so the idle loop never halts them
 	}
