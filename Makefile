@@ -95,13 +95,20 @@ policies-smoke:
 	bash scripts/policies-smoke.sh
 
 # Exercises the open-system traffic path end to end: the seeded
-# determinism, overload shedding and report-shape tests, plus one real
-# catasim -arrivals run.
+# determinism, overload shedding and report-shape tests, the runtime's
+# arrival and admission tests, the open-run golden fixtures, plus two
+# real catasim -arrivals runs (Poisson with shedding, and fixed-interval
+# arrivals that tie with task events).
 opensys-smoke:
 	$(GO) test -run 'TestOpen|TestScheduleGolden' -count=1 ./internal/opensys ./internal/exp
+	$(GO) test -count=1 ./internal/rts
+	$(GO) test -run 'TestGoldenOpenRuns' -count=1 .
 	$(GO) run ./cmd/catasim -workload 'forkjoin:width=4,phases=2,dur=50' \
 		-policy CATA -fast 8 -cores 8 \
 		-arrivals 'poisson:lambda=2000,jobs=20,deadline=5ms,cap=4,window=10ms'
+	$(GO) run ./cmd/catasim -workload 'forkjoin:width=4,phases=2,dur=40,skew=0' \
+		-policy CATA -fast 4 -cores 8 \
+		-arrivals 'fixed:interval=100us,jobs=50,deadline=300us'
 
 # Runs each fuzz harness for a bounded budget: the internal/sim engine
 # (arena/heap invariants vs a reference engine), the internal/spec

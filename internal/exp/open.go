@@ -35,7 +35,7 @@ func runOpen(spec RunSpec) (Measurement, error) {
 
 // openHolder derives the arrival schedule and wires the runtime's
 // open-system configuration: the collector callbacks and the injection
-// of every arrival.
+// of the schedule.
 func openHolder(spec RunSpec) (programHolder, error) {
 	proc, err := opensys.Parse(spec.Arrivals)
 	if err != nil {
@@ -49,17 +49,14 @@ func openHolder(spec RunSpec) (programHolder, error) {
 	// dependences), while a registry workload, resolved once here, is
 	// instantiated per job with an independent seed stream so the stream
 	// carries DAG-level variation too.
-	shared := func() (*program.Program, error) { return spec.Program, nil }
-	build := func(int) func() (*program.Program, error) { return shared }
+	build := func(int) (*program.Program, error) { return spec.Program, nil }
 	if spec.Program == nil {
 		workload, err := workloads.Builder(spec.Workload)
 		if err != nil {
 			return programHolder{}, fmt.Errorf("%v: %w", spec, err)
 		}
-		build = func(i int) func() (*program.Program, error) {
-			return func() (*program.Program, error) {
-				return workload(opensys.JobSeed(spec.Seed, i), spec.Scale)
-			}
+		build = func(job int) (*program.Program, error) {
+			return workload(opensys.JobSeed(spec.Seed, job), spec.Scale)
 		}
 	}
 
@@ -83,13 +80,6 @@ func openHolder(spec RunSpec) (programHolder, error) {
 		},
 		collect:      col,
 		extraSimTime: lastArrival,
-		inject: func(r *rts.Runtime) error {
-			for i, at := range schedule {
-				if err := r.Inject(at, i, build(i)); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
+		inject:       func(r *rts.Runtime) error { return r.Inject(schedule, build) },
 	}, nil
 }

@@ -233,3 +233,42 @@ func TestOpenRunBuildErrorFailsRun(t *testing.T) {
 		t.Fatal("run with an unbuildable job did not return")
 	}
 }
+
+// maxOpenAllocsPerJob pins what one more job of a
+// forkjoin:width=8,phases=2 open run allocates, all of it building and
+// admitting the job: its program (the Program, its items, task specs
+// and tokens), its compiled DAG (the Compiled and its index arrays),
+// and the job with its task slab: 8 allocations. Queueing an arrival
+// and running a task allocate nothing; the margin above 8 covers the
+// amortized growth of the run's per-job records.
+const maxOpenAllocsPerJob = 8.1
+
+// TestOpenRunAllocsPerJobFlat: an open run's allocations grow by the
+// same small figure per job whether it is 200 jobs long or 2,000, so
+// nothing per arrival is queued up front and nothing per task is
+// allocated on the dispatch path.
+func TestOpenRunAllocsPerJobFlat(t *testing.T) {
+	allocs := func(jobs int) float64 {
+		spec := RunSpec{
+			Workload: "forkjoin:width=8,phases=2,dur=100",
+			Policy:   CATA, Cores: 16, FastCores: 8, Seed: 3,
+			Arrivals: fmt.Sprintf("poisson:lambda=6000,jobs=%d,cap=256", jobs),
+		}
+		return testing.AllocsPerRun(2, func() {
+			if _, err := Run(spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(200), allocs(2000)
+	perJob := (long - short) / 1800
+	t.Logf("%v allocs for 200 jobs, %v for 2,000: %.2f per job", short, long, perJob)
+	if perJob > maxOpenAllocsPerJob {
+		t.Fatalf("%.2f allocations per extra job (%v at 200 jobs, %v at 2,000), want at most %v",
+			perJob, short, long, maxOpenAllocsPerJob)
+	}
+	if short/200 > maxOpenAllocsPerJob+2 {
+		t.Fatalf("%v allocations for 200 jobs: %.2f per job, want at most %v",
+			short, short/200, maxOpenAllocsPerJob+2)
+	}
+}

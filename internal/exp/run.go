@@ -164,15 +164,17 @@ func Run(spec RunSpec) (Measurement, error) {
 
 // buildProgram builds a closed run's program — the spec's own Program,
 // or its workload generated for the spec's seed and scale — and
-// compiles it. spec has defaults applied.
+// compiles it, which validates it. spec has defaults applied.
 func buildProgram(spec RunSpec) (*program.Compiled, error) {
 	prog := spec.Program
 	if prog == nil {
-		p, err := workloads.Build(spec.Workload, spec.Seed, spec.Scale)
+		build, err := workloads.Builder(spec.Workload)
 		if err != nil {
 			return nil, err
 		}
-		prog = p
+		if prog, err = build(spec.Seed, spec.Scale); err != nil {
+			return nil, err
+		}
 	}
 	return program.Compile(prog)
 }

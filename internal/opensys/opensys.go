@@ -197,6 +197,10 @@ func (p Process) Schedule(seed uint64) []sim.Time {
 // JobSeed derives the workload seed for one job of the stream: every
 // job gets an independent sub-stream of the run seed, so per-job DAG
 // instances differ while the whole stream stays reproducible.
+// The sub-stream is the one named "opensys.job.<job>", derived without
+// allocating.
 func JobSeed(seed uint64, job int) uint64 {
-	return xrand.New(seed).Stream(fmt.Sprintf("opensys.job.%d", job)).Uint64()
+	var s xrand.Source
+	s.SeedStreamIndexed(seed, "opensys.job.", job)
+	return s.Uint64()
 }

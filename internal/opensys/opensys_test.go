@@ -178,6 +178,20 @@ func TestJobSeedsIndependent(t *testing.T) {
 	if JobSeed(42, 0) == JobSeed(43, 0) {
 		t.Fatal("JobSeed ignores the run seed")
 	}
+	// Pinned: per-job seeds decide every open run's DAGs, so a change in
+	// how they are derived must not go unnoticed.
+	for _, c := range []struct {
+		seed uint64
+		job  int
+		want uint64
+	}{{42, 0, 0xfe02be9a65f2ead5}, {42, 3, 0xab653d6c8258bd6a}, {7, 1234, 0xe98a2e22ddd21d74}} {
+		if got := JobSeed(c.seed, c.job); got != c.want {
+			t.Errorf("JobSeed(%d, %d) = %#x, want %#x", c.seed, c.job, got, c.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { JobSeed(42, 1234) }); n != 0 {
+		t.Errorf("JobSeed allocated %v times, want 0", n)
+	}
 }
 
 func TestCollectorReport(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 // The source Program must not be modified after it is compiled.
 type Compiled struct {
 	prog *Program
-	dag  *tdg.DAG
+	dag  tdg.DAG
 }
 
 // Compile validates p and resolves its dependences. It is the only way
@@ -59,7 +59,9 @@ func (c *Compiler) Compile(p *Program) (*Compiled, error) {
 			c.res.Add(it.Task.Ins, it.Task.Outs)
 		}
 	}
-	return &Compiled{prog: p, dag: c.res.DAG()}, nil
+	comp := &Compiled{prog: p}
+	c.res.Fill(&comp.dag)
+	return comp, nil
 }
 
 // Name returns the program's name.
@@ -67,7 +69,7 @@ func (c *Compiled) Name() string { return c.prog.Name }
 
 // DAG returns the resolved dependence structure, one node per task
 // creation in program order.
-func (c *Compiled) DAG() *tdg.DAG { return c.dag }
+func (c *Compiled) DAG() *tdg.DAG { return &c.dag }
 
 // Program returns the source program, for read-only inspection.
 func (c *Compiled) Program() *Program { return c.prog }

@@ -118,6 +118,7 @@ func ReadJSON(r io.Reader) (*Program, error) {
 		types[tj.Name] = &tdg.TaskType{Name: tj.Name, Criticality: tj.Criticality}
 	}
 	p := &Program{Name: doc.Name}
+	p.Grow(len(doc.Items), 0)
 	for i, ij := range doc.Items {
 		switch {
 		case ij.Barrier:

@@ -38,12 +38,41 @@ type Item struct {
 type Program struct {
 	Name  string
 	Items []Item
+	// specs is the chunk AddTask stores task specs in; its items point
+	// into it. A full chunk is left to the items that point into it and
+	// a new one started, so adding a task never moves an earlier one.
+	specs []TaskSpec
 }
+
+// Task spec chunks grow with the program, from minSpecChunk specs to at
+// most maxSpecChunk, so a small program wastes little and a large one
+// allocates once per maxSpecChunk tasks.
+const (
+	minSpecChunk = 8
+	maxSpecChunk = 1024
+)
 
 // AddTask appends a task creation.
 func (p *Program) AddTask(spec TaskSpec) {
-	s := spec
-	p.Items = append(p.Items, Item{Task: &s})
+	if len(p.specs) == cap(p.specs) {
+		p.specs = make([]TaskSpec, 0, min(max(len(p.Items), minSpecChunk), maxSpecChunk))
+	}
+	p.specs = append(p.specs, spec)
+	p.Items = append(p.Items, Item{Task: &p.specs[len(p.specs)-1]})
+}
+
+// Grow makes room for tasks more task creations and barriers more
+// barriers, so a builder that knows its program's size allocates its
+// items and task specs once.
+func (p *Program) Grow(tasks, barriers int) {
+	if n := len(p.Items) + tasks + barriers; n > cap(p.Items) {
+		items := make([]Item, len(p.Items), n)
+		copy(items, p.Items)
+		p.Items = items
+	}
+	if cap(p.specs)-len(p.specs) < tasks {
+		p.specs = make([]TaskSpec, 0, tasks)
+	}
 }
 
 // AddBarrier appends a taskwait.

@@ -30,6 +30,63 @@ func TestAddTaskCopiesSpec(t *testing.T) {
 	}
 }
 
+// TestAddTaskSpecsStayPut: task specs live in chunks, and filling one
+// starts the next instead of moving it, so every item keeps pointing at
+// its own spec however long the program grows.
+func TestAddTaskSpecsStayPut(t *testing.T) {
+	p := Program{Name: "long"}
+	const n = 3*maxSpecChunk + 17
+	for i := 0; i < n; i++ {
+		p.AddTask(TaskSpec{Type: tt, CPUCycles: int64(i + 1)})
+		if i%100 == 0 {
+			p.AddBarrier()
+		}
+	}
+	k := int64(0)
+	for _, it := range p.Items {
+		if it.Task == nil {
+			continue
+		}
+		k++
+		if it.Task.CPUCycles != k {
+			t.Fatalf("task %d reads CPUCycles %d", k, it.Task.CPUCycles)
+		}
+	}
+	if k != n {
+		t.Fatalf("%d tasks, want %d", k, n)
+	}
+}
+
+// TestGrowPresizes: after Grow, adding the announced tasks and barriers
+// allocates nothing and leaves earlier specs where they were.
+func TestGrowPresizes(t *testing.T) {
+	const runs = 5
+	progs := make([]Program, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range progs {
+		progs[i].Name = "sized"
+		progs[i].AddTask(TaskSpec{Type: tt, CPUCycles: 1})
+		progs[i].Grow(100, 10)
+	}
+	first := progs[0].Items[0].Task
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		p := &progs[next]
+		next++
+		for i := 0; i < 100; i++ {
+			p.AddTask(TaskSpec{Type: tt, CPUCycles: int64(i + 2)})
+			if i%10 == 0 {
+				p.AddBarrier()
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("adding 100 presized tasks and 10 barriers allocated %v times, want 0", allocs)
+	}
+	if progs[0].Items[0].Task != first || first.CPUCycles != 1 || progs[0].Tasks() != 101 {
+		t.Fatal("Grow moved or lost a spec already added")
+	}
+}
+
 func TestTotalWork(t *testing.T) {
 	var p Program
 	p.AddTask(TaskSpec{Type: tt, CPUCycles: 1000, MemTime: 500 * sim.Nanosecond})

@@ -41,16 +41,25 @@ type OpenConfig struct {
 
 // openState is the runtime's open-mode bookkeeping, nil for closed runs.
 type openState struct {
-	cfg      OpenConfig
-	pending  int // arrivals injected but not yet delivered by the engine
+	cfg OpenConfig
+	// schedule and build are the injected arrivals. Only the next
+	// arrival, schedule[next], is queued in the engine; it fires under
+	// sequence number seq+next, reserved with the rest at Inject, and
+	// queues the one after it.
+	schedule []sim.Time
+	build    func(job int) (*program.Program, error)
+	next     int
+	seq      uint64
 	inSystem int // admitted, not yet completed jobs
-	taskJob  map[*tdg.Task]*openJob
 	// compiler resolves each admitted job's dependences into the job's
 	// own DAG, reusing its scratch from one admission to the next.
 	compiler program.Compiler
 	// err is the first admission failure; it stops the run.
 	err error
 }
+
+// pending returns the number of injected arrivals not yet delivered.
+func (o *openState) pending() int { return len(o.schedule) - o.next }
 
 // openJob is one admitted job: a compiled program stepped through
 // phase by phase. Consecutive tasks are submitted together at phase
@@ -59,10 +68,11 @@ type openState struct {
 // in-flight task of this job has completed.
 //
 // A job's state lives exactly as long as the job. It owns its DAG and
-// its task slab (one DAG instance), so its tasks depend only on each
-// other and never on another job's, even one built from the same
-// template. When the last task completes, nothing the runtime keeps
-// points at the job any more.
+// its task slab (one DAG instance, whose Owner is the job, so a task
+// leads back to its job), so its tasks depend only on each other and
+// never on another job's, even one built from the same template. When
+// the last task completes, nothing the runtime keeps points at the job
+// any more.
 type openJob struct {
 	id      int
 	items   []program.Item
@@ -72,32 +82,57 @@ type openJob struct {
 	inst    tdg.Instance
 }
 
-// Inject schedules one job arrival at the given simulated time. It must
-// be called after New and before Run, on a runtime configured with
-// Config.Open. Job IDs are caller-chosen and only echoed to callbacks
-// and errors.
+// Inject queues the run's arrivals: job i arrives at schedule[i], which
+// must be nonnegative and nondecreasing, and is echoed to callbacks and
+// errors as its job ID. It must be called once, after New and before
+// Run, on a runtime configured with Config.Open. The runtime reads
+// schedule during the run; the caller must not modify it.
 //
-// build produces the job's program when the job is admitted; a shed
+// build(i) produces job i's program when the job is admitted; a shed
 // arrival builds nothing. The program is compiled (and so validated) at
 // admission. A build or compile error stops the run, and Run returns it
 // naming the job.
-func (r *Runtime) Inject(at sim.Time, jobID int, build func() (*program.Program, error)) error {
-	if r.open == nil {
+//
+// However many arrivals there are, one is queued at a time: each queues
+// the next when it fires. Their order among same-time events is still
+// the order of this call, because Inject reserves their engine sequence
+// numbers here.
+func (r *Runtime) Inject(schedule []sim.Time, build func(job int) (*program.Program, error)) error {
+	o := r.open
+	switch {
+	case o == nil:
 		return fmt.Errorf("rts: Inject on a closed-system runtime")
-	}
-	if build == nil {
+	case build == nil:
 		return fmt.Errorf("rts: Inject with nil build function")
+	case o.build != nil:
+		return fmt.Errorf("rts: Inject called twice")
 	}
-	r.open.pending++
-	r.eng.At(at, sim.Func(func() { r.openArrive(jobID, build) }))
+	for i, at := range schedule {
+		switch {
+		case at < 0:
+			return fmt.Errorf("rts: Inject: arrival %d at negative time %v", i, at)
+		case i > 0 && at < schedule[i-1]:
+			return fmt.Errorf("rts: Inject: arrival %d at %v precedes arrival %d at %v", i, at, i-1, schedule[i-1])
+		}
+	}
+	o.schedule, o.build = schedule, build
+	o.seq = r.eng.Reserve(len(schedule))
+	if len(schedule) > 0 {
+		r.eng.AtReserved(schedule[0], o.seq, sim.Event{T: r, Op: opArrive})
+	}
 	return nil
 }
 
-// openArrive delivers one arrival: admit (build the job and submit its
-// first phase) or shed against the in-system cap.
-func (r *Runtime) openArrive(jobID int, build func() (*program.Program, error)) {
+// openArrive delivers the next arrival, after queueing the one behind
+// it: admit (build the job and submit its first phase) or shed against
+// the in-system cap.
+func (r *Runtime) openArrive() {
 	o := r.open
-	o.pending--
+	jobID := o.next
+	o.next++
+	if o.next < len(o.schedule) {
+		r.eng.AtReserved(o.schedule[o.next], o.seq+uint64(o.next), sim.Event{T: r, Op: opArrive})
+	}
 	now := r.eng.Now()
 	if o.cfg.MaxInSystem > 0 && o.inSystem >= o.cfg.MaxInSystem {
 		if o.cfg.OnShed != nil {
@@ -110,11 +145,11 @@ func (r *Runtime) openArrive(jobID int, build func() (*program.Program, error)) 
 		}
 		return
 	}
-	prog, err := build()
-	var c *program.Compiled
+	prog, err := o.build(jobID)
 	if err == nil && prog == nil {
 		err = fmt.Errorf("build returned no program")
 	}
+	var c *program.Compiled
 	if err == nil {
 		c, err = o.compiler.Compile(prog)
 	}
@@ -129,6 +164,7 @@ func (r *Runtime) openArrive(jobID int, build func() (*program.Program, error)) 
 	}
 	j := &openJob{id: jobID, items: prog.Items, arrived: now}
 	j.inst.Init(c.DAG())
+	j.inst.Owner = j
 	r.openAdvance(j)
 }
 
@@ -160,7 +196,6 @@ func (r *Runtime) openAdvance(j *openJob) {
 func (r *Runtime) openSubmit(j *openJob, spec *program.TaskSpec) {
 	t := j.inst.Next()
 	r.fillTask(t, spec)
-	r.open.taskJob[t] = j
 	j.live++
 	visited := r.graph.Submit(t) // may fire onTaskReady synchronously
 	r.submitVisited += int64(visited)
@@ -169,9 +204,7 @@ func (r *Runtime) openSubmit(j *openJob, spec *program.TaskSpec) {
 // openTaskDone accounts one task completion against its job, advancing
 // the job past a drained phase boundary (or to completion).
 func (r *Runtime) openTaskDone(t *tdg.Task) {
-	o := r.open
-	j := o.taskJob[t]
-	delete(o.taskJob, t)
+	j := t.Instance().Owner.(*openJob)
 	j.live--
 	if j.live == 0 {
 		r.openAdvance(j)
@@ -192,5 +225,5 @@ func (r *Runtime) openJobDone(j *openJob) {
 // graph has drained.
 func (r *Runtime) openFinished() bool {
 	o := r.open
-	return o.pending == 0 && o.inSystem == 0 && r.graph.AllDone()
+	return o.pending() == 0 && o.inSystem == 0 && r.graph.AllDone()
 }

@@ -114,6 +114,7 @@ const (
 	opSample    uint8 = iota // periodic ready-queue probe
 	opTimeout                // MaxSimTime reached
 	opOpenCheck              // t=0 finish check of an open run
+	opArrive                 // the next open-system arrival
 )
 
 // coreRun is one core's dispatch pipeline state. It is the target of
@@ -172,10 +173,7 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 		// No master thread: core 0 is an ordinary worker and the creator
 		// is permanently done.
 		r.creatorDone = true
-		r.open = &openState{
-			cfg:     *cfg.Open,
-			taskJob: make(map[*tdg.Task]*openJob),
-		}
+		r.open = &openState{cfg: *cfg.Open}
 	} else {
 		r.items = cfg.Program.Program().Items
 		r.inst.Init(cfg.Program.DAG())
@@ -256,13 +254,13 @@ func (r *Runtime) Run() (Result, error) {
 		return Result{}, fmt.Errorf("rts: open-system %w", r.open.err)
 	case r.timedOut && r.open != nil:
 		return Result{}, fmt.Errorf("rts: open-system run exceeded MaxSimTime %v (pending=%d in-system=%d live=%d ready=%d)",
-			r.opts.MaxSimTime, r.open.pending, r.open.inSystem, r.graph.Live(), r.schedq.Len())
+			r.opts.MaxSimTime, r.open.pending(), r.open.inSystem, r.graph.Live(), r.schedq.Len())
 	case r.timedOut:
 		return Result{}, fmt.Errorf("rts: %s exceeded MaxSimTime %v (live=%d ready=%d)",
 			r.prog.Name(), r.opts.MaxSimTime, r.graph.Live(), r.schedq.Len())
 	case !r.finished && r.open != nil:
 		return Result{}, fmt.Errorf("rts: open-system run deadlocked: pending=%d in-system=%d, %d live, %d ready",
-			r.open.pending, r.open.inSystem, r.graph.Live(), r.schedq.Len())
+			r.open.pending(), r.open.inSystem, r.graph.Live(), r.schedq.Len())
 	case !r.finished:
 		return Result{}, fmt.Errorf("rts: %s deadlocked: creator at %d/%d, %d live, %d ready",
 			r.prog.Name(), r.creatorNext, len(r.items), r.graph.Live(), r.schedq.Len())
@@ -302,6 +300,8 @@ func (r *Runtime) Fire(op uint8) {
 		if !r.finished && r.openFinished() {
 			r.finish()
 		}
+	case opArrive:
+		r.openArrive()
 	}
 }
 

@@ -20,10 +20,9 @@ type Event struct {
 // Fire runs the continuation now, on the caller's timeline.
 func (ev Event) Fire() { ev.T.Fire(ev.Op) }
 
-// Func wraps a plain function as an Event, for continuations that carry
-// state no layer struct holds (one open-system arrival's job) and for
-// tests. The closure allocates as closures do; the simulator's hot paths
-// schedule pointer targets instead.
+// Func wraps a plain function as an Event, for tests. The closure
+// allocates as closures do; the simulator's layers schedule pointer
+// targets instead.
 func Func(fn func()) Event { return Event{T: funcTarget(fn)} }
 
 type funcTarget func()
@@ -150,6 +149,40 @@ func (e *Engine) At(t Time, ev Event) Handle {
 	e.seq++
 	e.live++
 	return Handle{eng: e, idx: idx, gen: e.arena[idx].gen}
+}
+
+// Reserve sets aside the next n FIFO sequence numbers and returns the
+// first. Scheduling an event with AtReserved under one of them gives it
+// the same place among same-timestamp events that At would have given
+// it at the moment of the reservation, however late it is actually
+// scheduled. A source of many future events (an open system's arrival
+// schedule) reserves their sequence numbers up front and keeps only the
+// next one queued.
+func (e *Engine) Reserve(n int) uint64 {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: reserving %d sequence numbers", n))
+	}
+	first := e.seq
+	e.seq += uint64(n)
+	return first
+}
+
+// AtReserved schedules ev at absolute time t under seq, a sequence
+// number obtained from Reserve. The caller must use each reserved number
+// once: the engine cannot tell a reserved number from one already used,
+// and panics only on a number it has not issued yet. Like At, it panics
+// when t is before Now.
+func (e *Engine) AtReserved(t Time, seq uint64, ev Event) Handle {
+	if seq >= e.seq {
+		panic(fmt.Sprintf("sim: sequence number %d was not reserved", seq))
+	}
+	// At takes the sequence number from e.seq; lend it seq, keeping At
+	// itself, the hot path, untouched. The deferred restore also runs
+	// when At panics.
+	next := e.seq
+	e.seq = seq
+	defer func() { e.seq = next }()
+	return e.At(t, ev)
 }
 
 // After schedules ev to fire d after the current time.

@@ -7,15 +7,18 @@ import (
 )
 
 // This file fuzzes the arena engine against a trivially correct reference:
-// a sorted slice with stable insertion. Both engines execute the same op
-// script decoded from the fuzz input — schedule (At/After), cancel, Stop
-// from inside a callback, RunUntil, Run, plus nested scheduling — and must
-// produce byte-identical observation logs.
+// a slice kept sorted by (time, seq). Both engines execute the same op
+// script decoded from the fuzz input — schedule (At/After), reserve
+// sequence numbers and schedule under them later (Reserve/AtReserved),
+// cancel, Stop from inside a callback, RunUntil, Run, plus nested
+// scheduling — and must produce byte-identical observation logs.
 
 // scriptEngine is the surface both engines expose to the script driver.
 type scriptEngine interface {
 	At(t Time, fn func()) scriptHandle
 	After(d Time, fn func()) scriptHandle
+	Reserve(n int) uint64
+	AtReserved(t Time, seq uint64, fn func()) scriptHandle
 	Run() uint64
 	RunUntil(deadline Time) uint64
 	Stop()
@@ -33,11 +36,15 @@ type arenaAdapter struct{ e *Engine }
 
 func (a arenaAdapter) At(t Time, fn func()) scriptHandle    { return a.e.At(t, Func(fn)) }
 func (a arenaAdapter) After(d Time, fn func()) scriptHandle { return a.e.After(d, Func(fn)) }
-func (a arenaAdapter) Run() uint64                          { return a.e.Run() }
-func (a arenaAdapter) RunUntil(d Time) uint64               { return a.e.RunUntil(d) }
-func (a arenaAdapter) Stop()                                { a.e.Stop() }
-func (a arenaAdapter) Now() Time                            { return a.e.Now() }
-func (a arenaAdapter) Pending() int                         { return a.e.Pending() }
+func (a arenaAdapter) Reserve(n int) uint64                 { return a.e.Reserve(n) }
+func (a arenaAdapter) AtReserved(t Time, seq uint64, fn func()) scriptHandle {
+	return a.e.AtReserved(t, seq, Func(fn))
+}
+func (a arenaAdapter) Run() uint64            { return a.e.Run() }
+func (a arenaAdapter) RunUntil(d Time) uint64 { return a.e.RunUntil(d) }
+func (a arenaAdapter) Stop()                  { a.e.Stop() }
+func (a arenaAdapter) Now() Time              { return a.e.Now() }
+func (a arenaAdapter) Pending() int           { return a.e.Pending() }
 
 // refEngine is the reference implementation: events in a slice kept sorted
 // by (at, seq) with linear insertion. Slow and obviously correct.
@@ -78,10 +85,31 @@ func (r *refEngine) At(t Time, fn func()) scriptHandle {
 	if fn == nil {
 		panic("ref: nil event function")
 	}
-	ev := &refEvent{at: t, seq: r.seq, fn: fn}
+	h := r.insert(t, r.seq, fn)
 	r.seq++
-	// Insert after every event with an earlier-or-equal key (stable FIFO).
-	i := sort.Search(len(r.events), func(i int) bool { return r.events[i].at > t })
+	return h
+}
+
+func (r *refEngine) Reserve(n int) uint64 {
+	first := r.seq
+	r.seq += uint64(n)
+	return first
+}
+
+func (r *refEngine) AtReserved(t Time, seq uint64, fn func()) scriptHandle {
+	if t < r.now {
+		panic(fmt.Sprintf("ref: scheduling at %v before now %v", t, r.now))
+	}
+	return r.insert(t, seq, fn)
+}
+
+// insert places the event after every event with an earlier key.
+func (r *refEngine) insert(t Time, seq uint64, fn func()) scriptHandle {
+	ev := &refEvent{at: t, seq: seq, fn: fn}
+	i := sort.Search(len(r.events), func(i int) bool {
+		e := r.events[i]
+		return e.at > t || (e.at == t && e.seq > seq)
+	})
 	r.events = append(r.events, nil)
 	copy(r.events[i+1:], r.events[i:])
 	r.events[i] = ev
@@ -150,6 +178,7 @@ func (r *refEngine) Pending() int {
 func runScript(e scriptEngine, data []byte) []string {
 	var log []string
 	var handles []scriptHandle
+	var reserved []uint64 // reserved sequence numbers not yet used
 	nextID := 0
 	var mkEvent func() (int, func())
 	mkEvent = func() (int, func()) {
@@ -172,7 +201,7 @@ func runScript(e scriptEngine, data []byte) []string {
 	}
 
 	for i := 0; i+1 < len(data); i += 2 {
-		op, arg := data[i]%5, Time(data[i+1])
+		op, arg := data[i]%7, Time(data[i+1])
 		switch op {
 		case 0: // At now+arg
 			_, fn := mkEvent()
@@ -191,6 +220,21 @@ func runScript(e scriptEngine, data []byte) []string {
 		case 4: // Run to completion (or Stop)
 			n := e.Run()
 			log = append(log, fmt.Sprintf("run n=%d now=%d pend=%d", n, e.Now(), e.Pending()))
+		case 5: // Reserve 1..4 sequence numbers
+			n := 1 + int(arg)%4
+			first := e.Reserve(n)
+			for k := 0; k < n; k++ {
+				reserved = append(reserved, first+uint64(k))
+			}
+			log = append(log, fmt.Sprintf("reserve %d first=%d", n, first))
+		case 6: // AtReserved now+arg under one unused reserved seq, in any order
+			if len(reserved) > 0 {
+				k := int(arg) % len(reserved)
+				seq := reserved[k]
+				reserved = append(reserved[:k], reserved[k+1:]...)
+				_, fn := mkEvent()
+				handles = append(handles, e.AtReserved(e.Now()+arg%8, seq, fn))
+			}
 		}
 		log = append(log, fmt.Sprintf("state now=%d pend=%d", e.Now(), e.Pending()))
 	}
@@ -210,6 +254,8 @@ func FuzzEngineVsReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 2, 3, 2, 3})
 	f.Add([]byte{1, 200, 0, 100, 3, 50, 3, 255, 2, 0, 4, 0, 1, 9})
 	f.Add([]byte{0, 7, 1, 7, 0, 7, 1, 7, 0, 7, 1, 7, 0, 7, 4, 0}) // same-timestamp FIFO + stop
+	f.Add([]byte{5, 3, 0, 0, 0, 0, 6, 2, 6, 0, 6, 1, 4, 0})       // reserved seqs tie with later At
+	f.Add([]byte{5, 1, 0, 4, 3, 2, 6, 2, 6, 1, 4, 0})             // reserved seqs used after time advanced
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			return // keep scripts short; long inputs add no new structure

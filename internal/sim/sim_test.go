@@ -120,6 +120,62 @@ func TestEngineFIFOAtSameTimestamp(t *testing.T) {
 	}
 }
 
+// TestEngineReservedSeqKeepsItsPlace: an event scheduled late under a
+// sequence number reserved early fires before events scheduled after
+// the reservation at the same timestamp, and after those scheduled
+// before it, exactly where At would have put it at reservation time.
+func TestEngineReservedSeqKeepsItsPlace(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	mark := func(name string) Event { return Func(func() { got = append(got, name) }) }
+	e.At(10, mark("before"))
+	first := e.Reserve(2)
+	e.At(10, mark("after"))
+	e.At(5, Func(func() {
+		// Scheduled at t=5, long after "after" was queued, in reverse
+		// order of the two reserved numbers.
+		e.AtReserved(10, first+1, mark("reserved1"))
+		e.AtReserved(10, first, mark("reserved0"))
+	}))
+	e.Run()
+	if want := "[before reserved0 reserved1 after]"; fmt.Sprint(got) != want {
+		t.Fatalf("fired %v, want %s", got, want)
+	}
+}
+
+func TestEngineAtReservedPanicsOnUnreservedSeq(t *testing.T) {
+	e := NewEngine()
+	first := e.Reserve(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("scheduling under an unreserved sequence number did not panic")
+		}
+	}()
+	e.AtReserved(1, first+1, Func(func() {}))
+}
+
+// TestEngineAtReservedPanicKeepsSeq: an AtReserved that panics on a
+// past timestamp leaves the engine's next sequence number as it was.
+func TestEngineAtReservedPanicKeepsSeq(t *testing.T) {
+	e := NewEngine()
+	first := e.Reserve(1)
+	e.At(5, Func(func() {
+		next := e.seq
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("scheduling before now did not panic")
+				}
+			}()
+			e.AtReserved(1, first, Func(func() {}))
+		}()
+		if e.seq != next {
+			t.Fatalf("next sequence number %d after the panic, want %d", e.seq, next)
+		}
+	}))
+	e.Run()
+}
+
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var trace []Time

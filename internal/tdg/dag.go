@@ -162,9 +162,16 @@ func (r *Resolver) edge(p, stamp int32) {
 // DAG returns the DAG of every task added since the last call and resets
 // the Resolver. The DAG's four arrays share one exactly sized allocation.
 func (r *Resolver) DAG() *DAG {
+	d := new(DAG)
+	r.Fill(d)
+	return d
+}
+
+// Fill is DAG writing into d, for a caller that holds its DAG by value.
+func (r *Resolver) Fill(d *DAG) {
 	n, e := len(r.ends), len(r.preds)
 	buf := make([]int32, 2*(n+1)+2*e)
-	d := &DAG{
+	*d = DAG{
 		predOff: buf[: n+1 : n+1],
 		preds:   buf[n+1 : n+1+e : n+1+e],
 		succOff: buf[n+1+e : 2*(n+1)+e : 2*(n+1)+e],
@@ -188,7 +195,6 @@ func (r *Resolver) DAG() *DAG {
 		}
 	}
 	r.reset()
-	return d
 }
 
 // reset clears the per-program state, dropping scratch that grew past
@@ -213,6 +219,10 @@ type Instance struct {
 	dag       *DAG
 	tasks     []Task
 	submitted int32 // tasks[:submitted] have entered a Graph
+	// Owner is free for the instance's user to point at whatever the
+	// instance belongs to (an open-system runtime's job), so a task
+	// leads back to it through Task.Instance.
+	Owner any
 }
 
 // Init binds the instance to d and allocates its task slab.

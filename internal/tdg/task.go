@@ -101,6 +101,10 @@ type Task struct {
 // State returns the task's lifecycle state.
 func (t *Task) State() State { return t.state }
 
+// Instance returns the DAG instance the task belongs to, nil for a task
+// built outside one.
+func (t *Task) Instance() *Instance { return t.inst }
+
 // Preds returns the task's static predecessors in its program's DAG, in
 // discovery order. This includes predecessors that had already completed
 // when the task was submitted, which it never waited on. The slice is

@@ -44,6 +44,7 @@ func (Blackscholes) Build(seed uint64, scale float64) *program.Program {
 		memFraction = 0.30
 	)
 	n := scaled(chunks, scale)
+	b.p.Grow(timesteps*n, timesteps)
 	for ts := 0; ts < timesteps; ts++ {
 		for c := 0; c < n; c++ {
 			b.task(bsChunk, b.jitterDur(meanDur, jitter), memFraction, nil, nil, 0)

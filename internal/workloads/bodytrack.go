@@ -49,6 +49,7 @@ func (Bodytrack) Build(seed uint64, scale float64) *program.Program {
 	)
 	nEdge := scaled(edgeTasks, scale)
 	nPart := scaled(particleWide, scale)
+	b.p.Grow(frames*(nEdge+nPart+1), 0)
 
 	prevResample := tdg.Token(0) // no producer for frame 0
 	for f := 0; f < frames; f++ {

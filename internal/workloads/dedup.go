@@ -48,6 +48,7 @@ func (Dedup) Build(seed uint64, scale float64) *program.Program {
 		memFraction = 0.30
 	)
 	n := scaled(chunks, scale)
+	b.p.Grow(n*(3+perChunk), 0)
 
 	fragChain := b.token()
 	writeChain := b.token()

@@ -50,6 +50,7 @@ func (Ferret) Build(seed uint64, scale float64) *program.Program {
 		memFraction = 0.30
 	)
 	n := scaled(queries, scale)
+	b.p.Grow(6*n, 0)
 
 	loadChain := b.token() // the loader reads the input stream serially
 	outChain := b.token()  // results are written in order

@@ -89,6 +89,7 @@ func (Fluidanimate) Build(seed uint64, scale float64) *program.Program {
 		// per frame to keep tokens unique across the whole run.
 		return tdg.Token(uint64(s)*uint64(g*g) + uint64(x*g+y) + 1_000_000)
 	}
+	b.p.Grow(frames*len(fluidTypes)*g*g, frames*(len(fluidTypes)/2))
 	subphase := 0
 	for f := 0; f < frames; f++ {
 		for s := 0; s < len(fluidTypes); s++ {

@@ -83,33 +83,40 @@ func List() []Entry {
 // run's values; the reserved spec parameters override them. The returned
 // program is validated.
 func Build(s string, seed uint64, scale float64) (*program.Program, error) {
-	build, err := Builder(s)
+	e, sp, err := registry.Resolve(s)
 	if err != nil {
 		return nil, err
 	}
-	return build(seed, scale)
+	prog, err := e.build(sp.Params, seed, scale)
+	if err != nil {
+		return nil, err
+	}
+	if err := prog.Validate(); err != nil {
+		return nil, fmt.Errorf("workloads: %s: %w", e.Name, err)
+	}
+	return prog, nil
 }
 
 // Builder resolves a workload spec once and returns a function that
-// generates its program for a run's seed and scale exactly as Build
-// does. Callers that build many programs from one spec — an open-system
-// run builds one per job — pay for the spec's parsing once.
+// generates its program for a run's seed and scale as Build does.
+// Callers that build many programs from one spec — an open-system run
+// builds one per job — pay for the spec's parsing once. The programs
+// are not validated: they are meant to be compiled, and compiling
+// validates.
 func Builder(s string) (func(seed uint64, scale float64) (*program.Program, error), error) {
 	e, sp, err := registry.Resolve(s)
 	if err != nil {
 		return nil, err
 	}
-	p := sp.Params
 	return func(seed uint64, scale float64) (*program.Program, error) {
-		prog, err := e.Build(p, p.Uint64("seed", seed), p.Float("scale", scale))
-		if err != nil {
-			return nil, err
-		}
-		if err := prog.Validate(); err != nil {
-			return nil, fmt.Errorf("workloads: %s: %w", e.Name, err)
-		}
-		return prog, nil
+		return e.build(sp.Params, seed, scale)
 	}, nil
+}
+
+// build runs the entry's constructor for a run's seed and scale, with
+// the reserved spec parameters applied over them.
+func (e Entry) build(p spec.Params, seed uint64, scale float64) (*program.Program, error) {
+	return e.Build(p, p.Uint64("seed", seed), p.Float("scale", scale))
 }
 
 // Canonicalize resolves a workload spec against the registry — name,

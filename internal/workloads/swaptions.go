@@ -40,6 +40,7 @@ func (Swaptions) Build(seed uint64, scale float64) *program.Program {
 		memFraction = 0.20 // compute-dominated
 	)
 	n := scaled(batches, scale)
+	b.p.Grow(phases*n, phases)
 	for ph := 0; ph < phases; ph++ {
 		for i := 0; i < n; i++ {
 			b.task(swSim, b.lognormDur(meanDur, sigma), memFraction, nil, nil, 0)

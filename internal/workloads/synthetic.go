@@ -48,6 +48,21 @@ func (b *builder) synthTask(tt *tdg.TaskType, mean sim.Time, skew float64, memfr
 	b.task(tt, d, memfrac, ins, outs, 0)
 }
 
+// The synthetic shapes' task types. A type carries only its name and
+// static criticality, so every program of a shape shares them.
+var (
+	layeredPlain   = &tdg.TaskType{Name: "layer", Criticality: 0}
+	layeredSpine   = &tdg.TaskType{Name: "spine", Criticality: 1}
+	forkWork       = &tdg.TaskType{Name: "work", Criticality: 0}
+	forkJoin       = &tdg.TaskType{Name: "join", Criticality: 1}
+	pipelineIntake = &tdg.TaskType{Name: "intake", Criticality: 1}
+	pipelineWriter = &tdg.TaskType{Name: "writer", Criticality: 1}
+	wavefrontCell  = &tdg.TaskType{Name: "cell", Criticality: 0}
+	wavefrontDiag  = &tdg.TaskType{Name: "diag", Criticality: 1}
+	chainLink      = &tdg.TaskType{Name: "link", Criticality: 1}
+	chainFill      = &tdg.TaskType{Name: "fill", Criticality: 0}
+)
+
 func init() {
 	durParams := []spec.ParamDoc{
 		{Key: "dur", Kind: spec.Float, Default: "1000", Help: "mean task duration in µs at 1 GHz", Min: 1, Max: 1e9},
@@ -113,9 +128,8 @@ func buildLayered(p spec.Params, seed uint64, scale float64) (*program.Program, 
 		memfrac = p.Float("memfrac", 0.3)
 	)
 	b := newBuilder("layered", seed)
-	plain := &tdg.TaskType{Name: "layer", Criticality: 0}
-	spine := &tdg.TaskType{Name: "spine", Criticality: 1}
 	w := scaled(width, scale)
+	b.p.Grow(depth*w, 0)
 	var prev []tdg.Token // previous layer's outputs
 	spineAt := 0         // index of the spine task in prev
 	for l := 0; l < depth; l++ {
@@ -132,17 +146,17 @@ func buildLayered(p spec.Params, seed uint64, scale float64) (*program.Program, 
 					ins = append(ins, prev[j])
 				}
 			}
-			tt, mean := plain, dur
+			tt, mean := layeredPlain, dur
 			if i == next {
 				// The spine: one heavy task per layer, chained to the
 				// previous layer's spine so a long critical path exists
 				// for the estimators to find.
-				tt, mean = spine, 2*dur
+				tt, mean = layeredSpine, 2*dur
 				if l > 0 {
 					ins = append(ins, prev[spineAt])
 				}
 			}
-			b.synthTask(tt, mean, skew, memfrac, ins, []tdg.Token{outs[i]})
+			b.synthTask(tt, mean, skew, memfrac, ins, outs[i:i+1:i+1])
 		}
 		prev, spineAt = outs, next
 	}
@@ -158,18 +172,20 @@ func buildForkJoin(p spec.Params, seed uint64, scale float64) (*program.Program,
 		memfrac = p.Float("memfrac", 0.3)
 	)
 	b := newBuilder("forkjoin", seed)
-	work := &tdg.TaskType{Name: "work", Criticality: 0}
-	join := &tdg.TaskType{Name: "join", Criticality: 1}
 	w := scaled(width, scale)
+	b.p.Grow(phases*(w+1), 0)
+	// Every phase's w work outputs and its join output, in one slice
+	// whose one-token subslices serve as the tasks' access lists.
+	toks := b.tokens(phases * (w + 1))
 	var joined []tdg.Token // previous phase's join output
 	for ph := 0; ph < phases; ph++ {
-		outs := b.tokens(w)
+		outs := toks[ph*(w+1) : (ph+1)*(w+1)]
 		for i := 0; i < w; i++ {
-			b.synthTask(work, dur, skew, memfrac, joined, []tdg.Token{outs[i]})
+			b.synthTask(forkWork, dur, skew, memfrac, joined, outs[i:i+1:i+1])
 		}
-		jout := b.token()
-		b.synthTask(join, dur/2, skew/2, memfrac, outs, []tdg.Token{jout})
-		joined = []tdg.Token{jout}
+		jout := outs[w : w+1 : w+1]
+		b.synthTask(forkJoin, dur/2, skew/2, memfrac, outs[:w:w], jout)
+		joined = jout
 	}
 	return b.p, nil
 }
@@ -183,8 +199,6 @@ func buildPipeline(p spec.Params, seed uint64, scale float64) (*program.Program,
 		memfrac = p.Float("memfrac", 0.3)
 	)
 	b := newBuilder("pipeline", seed)
-	intake := &tdg.TaskType{Name: "intake", Criticality: 1}
-	writer := &tdg.TaskType{Name: "writer", Criticality: 1}
 	middle := make([]*tdg.TaskType, 0, stages-2)
 	for s := 1; s < stages-1; s++ {
 		middle = append(middle, &tdg.TaskType{Name: fmt.Sprintf("stage%d", s), Criticality: 0})
@@ -196,12 +210,13 @@ func buildPipeline(p spec.Params, seed uint64, scale float64) (*program.Program,
 		middleMean[i] = sim.Time(b.rng.Uniform(0.6, 1.8) * float64(dur))
 	}
 	n := scaled(items, scale)
+	b.p.Grow(n*(2+len(middle)), 0)
 	intakeChain := b.token()
 	writeChain := b.token()
 	for it := 0; it < n; it++ {
 		// Serial intake, modeled with an inout chain token.
 		cur := b.token()
-		b.synthTask(intake, dur/2, skew/2, memfrac,
+		b.synthTask(pipelineIntake, dur/2, skew/2, memfrac,
 			[]tdg.Token{intakeChain}, []tdg.Token{intakeChain, cur})
 		// Parallel middle stages, item-local.
 		for s := range middle {
@@ -211,7 +226,7 @@ func buildPipeline(p spec.Params, seed uint64, scale float64) (*program.Program,
 			cur = next
 		}
 		// Serial in-order writer.
-		b.synthTask(writer, dur/2, skew/2, memfrac,
+		b.synthTask(pipelineWriter, dur/2, skew/2, memfrac,
 			[]tdg.Token{writeChain, cur}, []tdg.Token{writeChain})
 	}
 	return b.p, nil
@@ -226,9 +241,8 @@ func buildWavefront(p spec.Params, seed uint64, scale float64) (*program.Program
 		memfrac = p.Float("memfrac", 0.3)
 	)
 	b := newBuilder("wavefront", seed)
-	cell := &tdg.TaskType{Name: "cell", Criticality: 0}
-	diag := &tdg.TaskType{Name: "diag", Criticality: 1}
 	nr := scaled(rows, scale)
+	b.p.Grow(nr*cols, 0)
 	prevRow := make([]tdg.Token, cols)
 	for i := 0; i < nr; i++ {
 		row := b.tokens(cols)
@@ -240,11 +254,11 @@ func buildWavefront(p spec.Params, seed uint64, scale float64) (*program.Program
 			if j > 0 {
 				ins = append(ins, row[j-1])
 			}
-			tt := cell
+			tt := wavefrontCell
 			if i == j {
-				tt = diag
+				tt = wavefrontDiag
 			}
-			b.synthTask(tt, dur, skew, memfrac, ins, []tdg.Token{row[j]})
+			b.synthTask(tt, dur, skew, memfrac, ins, row[j:j+1:j+1])
 		}
 		prevRow = row
 	}
@@ -264,18 +278,17 @@ func buildChain(p spec.Params, seed uint64, scale float64) (*program.Program, er
 		sidedur = 2 * dur
 	}
 	b := newBuilder("chain", seed)
-	link := &tdg.TaskType{Name: "link", Criticality: 1}
-	fill := &tdg.TaskType{Name: "fill", Criticality: 0}
 	n := scaled(length, scale)
+	b.p.Grow(n*(1+side), 0)
 	chain := b.token()
 	for l := 0; l < n; l++ {
 		out := b.token()
-		b.synthTask(link, dur, skew/2, memfrac,
-			[]tdg.Token{chain}, []tdg.Token{chain, out})
+		acc := []tdg.Token{chain, chain, out} // the link's ins, then its outs
+		b.synthTask(chainLink, dur, skew/2, memfrac, acc[:1:1], acc[1:])
 		// Side work forks off the link but nothing joins it back: it
 		// fills cores without ever blocking the critical chain.
 		for s := 0; s < side; s++ {
-			b.synthTask(fill, sidedur, skew, memfrac, []tdg.Token{out}, nil)
+			b.synthTask(chainFill, sidedur, skew, memfrac, acc[2:], nil)
 		}
 	}
 	return b.p, nil

@@ -145,3 +145,26 @@ func TestSyntheticDocumentedParamsAccepted(t *testing.T) {
 		}
 	}
 }
+
+// TestForkJoinBuildAllocsPerProgram: building a fork-join program costs
+// four allocations whatever its size — the Program, its items, its task
+// specs and its tokens — so an open run's per-job build makes no
+// garbage per task.
+func TestForkJoinBuildAllocsPerProgram(t *testing.T) {
+	for _, s := range []string{"forkjoin:width=8,phases=2,dur=100", "forkjoin:width=64,phases=8"} {
+		build, err := Builder(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := uint64(0)
+		allocs := testing.AllocsPerRun(20, func() {
+			seed++
+			if _, err := build(seed, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 4 {
+			t.Errorf("%s: %v allocations per build, want 4", s, allocs)
+		}
+	}
+}

@@ -188,6 +188,7 @@ func buildDOT(p spec.Params, _ uint64, _ float64) (*program.Program, error) {
 	}
 
 	prog := &program.Program{Name: "dot"}
+	prog.Grow(len(nodes), 0)
 	// One shared type per (name, criticality) pair, so instances of the
 	// same exported task type share identity like the original program.
 	type typeKey struct {
@@ -227,7 +228,7 @@ func buildDOT(p spec.Params, _ uint64, _ float64) (*program.Program, error) {
 			MemTime:   mem,
 			IOTime:    io,
 			Ins:       ins,
-			Outs:      []tdg.Token{outTok[i]},
+			Outs:      outTok[i : i+1 : i+1],
 		})
 	}
 	return prog, nil

@@ -87,17 +87,18 @@ func ByName(name string) (Workload, error) {
 // helpers shared by all generators.
 type builder struct {
 	p    *program.Program
-	rng  *xrand.Source
+	rng  xrand.Source
 	next tdg.Token
 }
 
+// newBuilder starts a program whose draws come from the seed's
+// sub-stream named after the program. The builder itself, rng included,
+// is small enough to live on its caller's stack.
 func newBuilder(name string, seed uint64) *builder {
-	return &builder{
-		p:   &program.Program{Name: name},
-		rng: xrand.New(seed).Stream(name),
-		// Token 0 is reserved as "never used" to catch bugs.
-		next: 1,
-	}
+	// Token 0 is reserved as "never used" to catch bugs.
+	b := &builder{p: &program.Program{Name: name}, next: 1}
+	b.rng.SeedStream(seed, name)
+	return b
 }
 
 // token allocates a fresh datum token.

@@ -9,7 +9,10 @@
 // results cannot drift with Go releases.
 package xrand
 
-import "math"
+import (
+	"math"
+	"strconv"
+)
 
 // Source is a deterministic xoshiro256** stream. It implements the subset
 // of math/rand's API the simulator needs, plus distribution helpers.
@@ -29,6 +32,13 @@ func splitmix64(x *uint64) uint64 {
 // New returns a stream seeded from seed via splitmix64.
 func New(seed uint64) *Source {
 	var s Source
+	s.Seed(seed)
+	return &s
+}
+
+// Seed resets s, in place, to the start of the stream New(seed) returns.
+// A Source held by value and reseeded this way allocates nothing.
+func (s *Source) Seed(seed uint64) {
 	x := seed
 	for i := range s.s {
 		s.s[i] = splitmix64(&x)
@@ -37,19 +47,20 @@ func New(seed uint64) *Source {
 	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
 		s.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &s
 }
 
-// fnv1a hashes a name to derive sub-stream seeds.
-func fnv1a(name string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+// fnvOffset and fnvPrime are the 64-bit FNV-1a parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv1a continues an FNV-1a hash h over name; fnv1a(fnvOffset, name)
+// hashes name alone.
+func fnv1a[T string | []byte](h uint64, name T) uint64 {
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])
-		h *= prime
+		h *= fnvPrime
 	}
 	return h
 }
@@ -58,7 +69,24 @@ func fnv1a(name string) uint64 {
 // material and the given name. Calling Stream does not advance the parent,
 // so components may be added or removed without perturbing each other.
 func (s *Source) Stream(name string) *Source {
-	return New(s.s[0] ^ fnv1a(name))
+	return New(s.s[0] ^ fnv1a(fnvOffset, name))
+}
+
+// SeedStream resets s, in place, to the start of New(seed).Stream(name),
+// without allocating either source.
+func (s *Source) SeedStream(seed uint64, name string) {
+	s.Seed(seed)
+	s.Seed(s.s[0] ^ fnv1a(fnvOffset, name))
+}
+
+// SeedStreamIndexed resets s, in place, to the start of
+// New(seed).Stream(name + strconv.Itoa(i)): one of a family of numbered
+// sub-streams, derived without formatting the name.
+func (s *Source) SeedStreamIndexed(seed uint64, name string, i int) {
+	var digits [20]byte
+	h := fnv1a(fnv1a(fnvOffset, name), strconv.AppendInt(digits[:0], int64(i), 10))
+	s.Seed(seed)
+	s.Seed(s.s[0] ^ h)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

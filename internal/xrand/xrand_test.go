@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -54,6 +55,35 @@ func TestStreamIndependence(t *testing.T) {
 	r2 := New(7).Stream("x").Uint64()
 	if r1 != r2 {
 		t.Fatal("same-named streams differ")
+	}
+}
+
+// TestSeedInPlaceMatchesNew: reseeding a Source held by value yields
+// the very streams New and Stream return, and allocates nothing.
+func TestSeedInPlaceMatchesNew(t *testing.T) {
+	same := func(what string, got *Source, want *Source) {
+		t.Helper()
+		for k := 0; k < 8; k++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("%s: draw %d = %#x, want %#x", what, k, g, w)
+			}
+		}
+	}
+	for _, seed := range []uint64{0, 1, 42, 1<<64 - 1} {
+		var s Source
+		s.Seed(seed)
+		same(fmt.Sprintf("Seed(%d)", seed), &s, New(seed))
+		s.SeedStream(seed, "workloads")
+		same(fmt.Sprintf("SeedStream(%d)", seed), &s, New(seed).Stream("workloads"))
+		for _, i := range []int{0, 7, 10, 12345, -3, 1<<63 - 1, -1 << 63} {
+			s.SeedStreamIndexed(seed, "opensys.job.", i)
+			same(fmt.Sprintf("SeedStreamIndexed(%d, %d)", seed, i), &s,
+				New(seed).Stream(fmt.Sprintf("opensys.job.%d", i)))
+		}
+	}
+	var s Source
+	if n := testing.AllocsPerRun(100, func() { s.SeedStreamIndexed(42, "opensys.job.", 12345) }); n != 0 {
+		t.Fatalf("SeedStreamIndexed allocated %v times, want 0", n)
 	}
 }
 
