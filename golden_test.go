@@ -46,7 +46,7 @@ type goldenFile struct {
 // goldenCell holds the deterministic outputs of one workload run. Integer
 // fields compare exactly; energy values are %.6g strings — identical on
 // any one platform, and coarse enough to absorb sub-ulp float variance
-// across architectures.
+// across architectures. The same holds for the other float fields.
 type goldenCell struct {
 	Workload      string `json:"workload"`
 	MakespanPs    int64  `json:"makespan_ps"`
@@ -59,6 +59,20 @@ type goldenCell struct {
 	ReconfigOps   int64  `json:"reconfig_ops"`
 	Joules        string `json:"joules"`
 	EDP           string `json:"edp"`
+
+	// Mechanism harvest: RSM/RSU decision counters, software
+	// reconfiguration latencies and lock waits (ps), TurboMode handoffs
+	// and core utilization.
+	AccelsGranted       int64  `json:"accels_granted"`
+	AccelsDenied        int64  `json:"accels_denied"`
+	BudgetUtilization   string `json:"budget_utilization"`
+	ReconfigLatencyAvg  int64  `json:"reconfig_latency_avg_ps"`
+	ReconfigLatencyMax  int64  `json:"reconfig_latency_max_ps"`
+	LockWaitMax         int64  `json:"lock_wait_max_ps"`
+	DriverLockWaitMax   int64  `json:"driver_lock_wait_max_ps"`
+	ReconfigOverheadPct string `json:"reconfig_overhead_pct"`
+	TurboReassigns      int64  `json:"turbo_reassigns"`
+	AvgUtilization      string `json:"avg_utilization"`
 }
 
 func goldenWorkloads() []string { return workloads.Names() }
@@ -93,6 +107,17 @@ func buildGolden(t *testing.T, policy exp.Policy) goldenFile {
 			ReconfigOps:   m.ReconfigOps,
 			Joules:        fmt.Sprintf("%.6g", m.Joules),
 			EDP:           fmt.Sprintf("%.6g", m.EDP),
+
+			AccelsGranted:       m.AccelsGranted,
+			AccelsDenied:        m.AccelsDenied,
+			BudgetUtilization:   fmt.Sprintf("%.6g", m.BudgetUtilization),
+			ReconfigLatencyAvg:  int64(m.ReconfigLatencyAvg),
+			ReconfigLatencyMax:  int64(m.ReconfigLatencyMax),
+			LockWaitMax:         int64(m.LockWaitMax),
+			DriverLockWaitMax:   int64(m.DriverLockWaitMax),
+			ReconfigOverheadPct: fmt.Sprintf("%.6g", m.ReconfigOverheadPct),
+			TurboReassigns:      m.TurboReassigns,
+			AvgUtilization:      fmt.Sprintf("%.6g", m.AvgUtilization),
 		})
 	}
 	return g
@@ -166,6 +191,16 @@ func diffGolden(t *testing.T, want, got goldenFile) {
 		cmp("reconfig_ops", w.ReconfigOps, g.ReconfigOps)
 		cmp("joules", w.Joules, g.Joules)
 		cmp("edp", w.EDP, g.EDP)
+		cmp("accels_granted", w.AccelsGranted, g.AccelsGranted)
+		cmp("accels_denied", w.AccelsDenied, g.AccelsDenied)
+		cmp("budget_utilization", w.BudgetUtilization, g.BudgetUtilization)
+		cmp("reconfig_latency_avg_ps", w.ReconfigLatencyAvg, g.ReconfigLatencyAvg)
+		cmp("reconfig_latency_max_ps", w.ReconfigLatencyMax, g.ReconfigLatencyMax)
+		cmp("lock_wait_max_ps", w.LockWaitMax, g.LockWaitMax)
+		cmp("driver_lock_wait_max_ps", w.DriverLockWaitMax, g.DriverLockWaitMax)
+		cmp("reconfig_overhead_pct", w.ReconfigOverheadPct, g.ReconfigOverheadPct)
+		cmp("turbo_reassigns", w.TurboReassigns, g.TurboReassigns)
+		cmp("avg_utilization", w.AvgUtilization, g.AvgUtilization)
 	}
 }
 
