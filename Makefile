@@ -114,9 +114,10 @@ opensys-smoke:
 # (arena/heap invariants vs a reference engine), the internal/spec
 # parser behind every workload, policy and arrivals spec, the
 # RunConfig JSON decoder behind catad's request bodies, the compiled
-# dependence graph against the reference map-based resolver, and the
-# DOT and JSON trace parsers that feed program compilation. `go test
-# -fuzz` takes one target at a time, hence one line each.
+# dependence graph against the reference map-based resolver, the DOT
+# and JSON trace parsers that feed program compilation, and the RSU
+# against the two-level reference rule. `go test -fuzz` takes one target
+# at a time, hence one line each.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/spec
@@ -124,6 +125,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzCompileVsReference$$' -fuzztime=$(FUZZTIME) ./internal/tdg
 	$(GO) test -run=NONE -fuzz='^FuzzReadDOT$$' -fuzztime=$(FUZZTIME) ./internal/tdg
 	$(GO) test -run=NONE -fuzz='^FuzzReadJSON$$' -fuzztime=$(FUZZTIME) ./internal/program
+	$(GO) test -run=NONE -fuzz='^FuzzUnitVsReference$$' -fuzztime=$(FUZZTIME) ./internal/rsu
 
 # Captures a statement-coverage profile across every package.
 cover:

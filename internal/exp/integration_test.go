@@ -57,10 +57,10 @@ func TestBudgetInvariantDuringFullRuns(t *testing.T) {
 				if r.mach.DVFS.CommittedFast() > budget {
 					violations++
 				}
-				if r.rsmMod != nil && r.rsmMod.AcceleratedCount() > budget {
+				if r.rsmMod != nil && r.rsmMod.Table().Used() > budget {
 					violations++
 				}
-				if r.rsuUnit != nil && r.rsuUnit.AcceleratedCount() > budget {
+				if r.rsuUnit != nil && r.rsuUnit.Table().Used() > budget {
 					violations++
 				}
 				if r.turboC != nil && r.turboC.AcceleratedCount() > budget {
@@ -86,7 +86,7 @@ func TestUnitBudgetInvariantDuringMLRun(t *testing.T) {
 		Workload: "swaptions", Policy: CATA3L, FastCores: fastCores,
 		Cores: 8, Scale: 0.15,
 	}, 50*sim.Microsecond, func(r *rig) {
-		if r.mlUnit.UnitsUsed() > r.mlUnit.UnitBudget() {
+		if tab := r.rsuUnit.Table(); tab.Used() > tab.Budget() {
 			violations++
 		}
 	})

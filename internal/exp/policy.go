@@ -14,6 +14,7 @@ package exp
 
 import (
 	"encoding/json"
+	"fmt"
 
 	"cata/internal/cpufreq"
 	"cata/internal/machine"
@@ -180,7 +181,6 @@ type rig struct {
 	// Non-nil depending on policy, for statistics harvesting.
 	rsmMod  *rsm.RSM
 	rsuUnit *rsu.RSU
-	mlUnit  *rsu.MultiLevel
 	turboC  *turbo.Controller
 	fw      *cpufreq.Framework
 
@@ -195,6 +195,9 @@ type rig struct {
 // hook (if any) before the machine is constructed, and hands the entry's
 // Build hook the wiring environment.
 func buildRig(spec RunSpec, prog programHolder) (*rig, error) {
+	if err := CheckCores(spec.Cores, spec.FastCores); err != nil {
+		return nil, fmt.Errorf("%v: %w", spec, err)
+	}
 	entry, params, err := policies.Resolve(string(spec.Policy))
 	if err != nil {
 		return nil, err
@@ -253,7 +256,6 @@ func buildRig(spec RunSpec, prog programHolder) (*rig, error) {
 	r.fw = env.FW
 	r.rsmMod = env.RSM
 	r.rsuUnit = env.RSU
-	r.mlUnit = env.ML
 	r.turboC = env.Turbo
 
 	if r.probe != nil {

@@ -96,6 +96,32 @@ func (s RunSpec) String() string {
 	return fmt.Sprintf("%s/%v/fast=%d", s.Workload, s.Policy, s.FastCores)
 }
 
+// FieldError rejects a RunSpec field whose value no run can use; Field
+// is the field's JSON name.
+type FieldError struct {
+	Field  string
+	Reason string
+}
+
+// Error implements error.
+func (e *FieldError) Error() string { return e.Field + " " + e.Reason }
+
+// CheckCores rejects a machine without cores and a fast-core budget
+// outside [0, cores]: no policy can hold more fast cores than the
+// machine has. cores 0 means the default machine size.
+func CheckCores(cores, fastCores int) error {
+	if cores == 0 {
+		cores = RunSpec{}.withDefaults().Cores
+	}
+	if cores < 0 {
+		return &FieldError{Field: "cores", Reason: fmt.Sprintf("%d is negative", cores)}
+	}
+	if fastCores < 0 || fastCores > cores {
+		return &FieldError{Field: "fast_cores", Reason: fmt.Sprintf("%d out of range [0,%d]", fastCores, cores)}
+	}
+	return nil
+}
+
 // Measurement is the harvested result of one run.
 type Measurement struct {
 	Spec     RunSpec
@@ -242,7 +268,8 @@ func runWith(spec RunSpec, holder programHolder) (Measurement, error) {
 		m.Steals = st.Steals
 	}
 	if rig.rsmMod != nil {
-		accels, decels := rig.rsmMod.Reconfigs()
+		tab := rig.rsmMod.Table()
+		accels, decels := tab.Reconfigs()
 		m.ReconfigOps = accels + decels
 		m.ReconfigLatencyAvg = rig.rsmMod.OpLatency().MeanTime()
 		m.ReconfigLatencyMax = rig.rsmMod.OpLatency().MaxTime()
@@ -250,9 +277,9 @@ func runWith(spec RunSpec, holder programHolder) (Measurement, error) {
 		total := float64(res.Makespan) * float64(spec.Cores)
 		m.ReconfigOverheadPct = 100 * float64(rig.rsmMod.OpTimeTotal()) / total
 		m.AccelsGranted = accels
-		m.AccelsDenied = rig.rsmMod.Denied()
+		m.AccelsDenied = tab.Denied()
 		if spec.FastCores > 0 && res.Makespan > 0 {
-			m.BudgetUtilization = float64(rig.rsmMod.AccelCoreTime()) /
+			m.BudgetUtilization = float64(tab.UnitTime()) /
 				(float64(res.Makespan) * float64(spec.FastCores))
 		}
 	}
@@ -260,13 +287,15 @@ func runWith(spec RunSpec, holder programHolder) (Measurement, error) {
 		m.DriverLockWaitMax = rig.fw.DriverLock().WaitTimes().MaxTime()
 	}
 	if rig.rsuUnit != nil {
-		accels, decels := rig.rsuUnit.Reconfigs()
+		tab := rig.rsuUnit.Table()
+		accels, decels := tab.Reconfigs()
 		m.ReconfigOps = accels + decels
-		m.AccelsGranted = accels
-	}
-	if rig.mlUnit != nil {
-		ups, downs := rig.mlUnit.Moves()
-		m.ReconfigOps = ups + downs
+		// A multi-level unit raises cores one level at a time, so its
+		// raises are not whole accelerations: only a two-level unit
+		// reports grants.
+		if tab.Top() == 1 {
+			m.AccelsGranted = accels
+		}
 	}
 	if rig.turboC != nil {
 		m.TurboReassigns = rig.turboC.Reassigns()

@@ -80,7 +80,7 @@ func init() {
 			Name:    "CATA+RSU",
 			Summary: "CATA with the hardware Runtime Support Unit",
 			Build: func(_ spec.Params, env *Env) error {
-				env.RSU = rsu.New(env.Eng, env.Mach)
+				env.RSU = rsu.New(env.Eng, env.Mach, []int{0, 1})
 				env.RSU.Init(env.FastCores)
 				env.Cfg.Reconfig = rts.NewRSUReconfig(env.RSU, env.Mach, env.Cfg.Options.RSUOpCycles)
 				env.Cfg.NewScheduler = func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() }
@@ -102,7 +102,7 @@ func init() {
 			Extension: true,
 			Summary:   "CATA+RSU that re-budgets cores halted in kernel IO",
 			Build: func(_ spec.Params, env *Env) error {
-				env.RSU = rsu.New(env.Eng, env.Mach)
+				env.RSU = rsu.New(env.Eng, env.Mach, []int{0, 1})
 				env.RSU.Init(env.FastCores)
 				rsu.NewHaltAware(env.RSU, env.Mach)
 				env.Cfg.Reconfig = rts.NewRSUReconfig(env.RSU, env.Mach, env.Cfg.Options.RSUOpCycles)
@@ -125,9 +125,9 @@ func init() {
 			Build: func(_ spec.Params, env *Env) error {
 				// Same power envelope as `FastCores` fast cores: fast costs 2
 				// units, so the pool is 2x the fast-core budget.
-				env.ML = rsu.NewMultiLevel(env.Eng, env.Mach, rsu.ThreeLevelUnitCosts())
-				env.ML.Init(2 * env.FastCores)
-				env.Cfg.Reconfig = rts.NewRSUReconfig(env.ML, env.Mach, env.Cfg.Options.RSUOpCycles)
+				env.RSU = rsu.New(env.Eng, env.Mach, rsu.ThreeLevelUnitCosts())
+				env.RSU.Init(2 * env.FastCores)
+				env.Cfg.Reconfig = rts.NewRSUReconfig(env.RSU, env.Mach, env.Cfg.Options.RSUOpCycles)
 				env.Cfg.NewScheduler = func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() }
 				return nil
 			},

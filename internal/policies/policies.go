@@ -54,10 +54,9 @@ type Env struct {
 	// Seed is the run's seed, for policies that need randomness.
 	Seed uint64
 
-	// RSM, RSU, ML, Turbo and FW are the harvest slots.
+	// RSM, RSU, Turbo and FW are the harvest slots.
 	RSM   *rsm.RSM
 	RSU   *rsu.RSU
-	ML    *rsu.MultiLevel
 	Turbo *turbo.Controller
 	FW    *cpufreq.Framework
 }

@@ -47,8 +47,9 @@ type Recorder interface {
 	// user space: caller executed the software path to retune target,
 	// waiting lockWait on the global driver lock out of total latency.
 	CpufreqWrite(now sim.Time, caller, target, level int, lockWait, total sim.Time)
-	// AccelGrant fires when the RSM/RSU accelerates a core; used is the
-	// accelerated-core count after the grant, budget the power budget.
+	// AccelGrant fires when the RSM/RSU raises a core's level; used is
+	// the budget units in use after the grant and budget the power
+	// budget in units (on a two-level table, accelerated cores).
 	AccelGrant(now sim.Time, core int, critical bool, used, budget int)
 	// AccelDeny fires when a task start is denied acceleration (budget
 	// exhausted and, for critical tasks, no non-critical victim).

@@ -4,6 +4,11 @@
 // runs (Critical / Non-Critical / No Task) and the power budget, and
 // drives DVFS reconfigurations through the cpufreq framework.
 //
+// The state lives in a Table, the one Figure 2/3 table the hardware RSU
+// (internal/rsu) keeps too: the RSM drives it at unit costs {0, 1} with
+// cpufreq writes, the RSU at any cost vector with DVFS controller
+// requests.
+//
 // All reconfiguration decisions execute under a runtime-level lock and the
 // cpufreq writes execute sequentially within it — the serialization the
 // paper identifies as CATA's scalability bottleneck (§V-C) and the RSU
@@ -20,63 +25,21 @@ import (
 	"cata/internal/stats"
 )
 
-// CritState is the per-core criticality field of Figure 2/3.
-type CritState int
-
-const (
-	// NoTask: the core is not executing a task.
-	NoTask CritState = iota
-	// NonCritical: the core executes a non-critical task.
-	NonCritical
-	// Critical: the core executes a critical task.
-	Critical
-)
-
-// String returns a one-character state marker.
-func (c CritState) String() string {
-	switch c {
-	case NoTask:
-		return "-"
-	case NonCritical:
-		return "NC"
-	case Critical:
-		return "C"
-	default:
-		return fmt.Sprintf("CritState(%d)", int(c))
-	}
-}
-
 // RSM is the software reconfiguration module.
 type RSM struct {
 	eng  *sim.Engine
 	mach *machine.Machine
 	fw   *cpufreq.Framework
 	lock *cpufreq.Lock
-
-	budget int
-	crit   []CritState
-	accel  []bool
-	nAccel int
-
-	// Budget accounting: denies counts TaskStart operations that ended
-	// without an acceleration (no budget and no victim), and
-	// accelCoreTime integrates nAccel over simulated time so budget
-	// utilization can be reported per run.
-	denies        int64
-	accelCoreTime sim.Time
-	accelMark     sim.Time
+	tab  Table
 
 	// BookkeepingCycles is the table-update cost per operation, paid on
 	// the calling core inside the lock.
 	BookkeepingCycles int64
 
 	// Statistics for §V-C.
-	accels, decels int64
-	opLatency      stats.DurationSummary // TaskStart/TaskEnd entry→exit
-	opTimeTotal    sim.Time              // total time cores spent reconfiguring
-
-	// rec, when non-nil, receives grant/deny events with budget state.
-	rec probe.Recorder
+	opLatency   stats.DurationSummary // TaskStart/TaskEnd entry→exit
+	opTimeTotal sim.Time              // total time cores spent reconfiguring
 
 	// ops holds one in-flight TaskStart/TaskEnd per core.
 	ops []op
@@ -106,23 +69,23 @@ const (
 	opFinish               // last write returned: release and finish
 )
 
+// twoLevel is the RSM's unit costs: a core is accelerated or not, and
+// the budget counts accelerated cores.
+var twoLevel = []int{0, 1}
+
 // New creates an RSM with the given power budget (maximum number of
 // simultaneously accelerated cores).
 func New(eng *sim.Engine, mach *machine.Machine, fw *cpufreq.Framework, budget int) *RSM {
-	if budget < 0 || budget > mach.Cores() {
-		panic(fmt.Sprintf("rsm: budget %d out of range [0,%d]", budget, mach.Cores()))
-	}
 	r := &RSM{
 		eng:               eng,
 		mach:              mach,
 		fw:                fw,
 		lock:              cpufreq.NewLock(eng),
-		budget:            budget,
-		crit:              make([]CritState, mach.Cores()),
-		accel:             make([]bool, mach.Cores()),
+		tab:               NewTable(eng, mach.Cores(), twoLevel),
 		BookkeepingCycles: 400,
 		ops:               make([]op, mach.Cores()),
 	}
+	r.tab.SetBudget(budget)
 	for i := range r.ops {
 		r.ops[i] = op{r: r, core: i}
 	}
@@ -131,47 +94,15 @@ func New(eng *sim.Engine, mach *machine.Machine, fw *cpufreq.Framework, budget i
 
 // SetRecorder attaches a flight recorder reporting acceleration grants
 // and denials together with the budget state at decision time.
-func (r *RSM) SetRecorder(rec probe.Recorder) { r.rec = rec }
+func (r *RSM) SetRecorder(rec probe.Recorder) { r.tab.SetRecorder(rec) }
 
-// Budget returns the power budget.
-func (r *RSM) Budget() int { return r.budget }
-
-// Accelerated reports whether the RSM considers the core accelerated.
-func (r *RSM) Accelerated(core int) bool { return r.accel[core] }
-
-// AcceleratedCount returns how many cores are currently accelerated. The
-// invariant AcceleratedCount() <= Budget() holds at all times.
-func (r *RSM) AcceleratedCount() int { return r.nAccel }
-
-// Crit returns the criticality field for a core.
-func (r *RSM) Crit(core int) CritState { return r.crit[core] }
+// Table returns the RSM's reconfiguration table: per-core criticality
+// and acceleration, the budget, and the grant/deny counters. Its
+// invariant Used() <= Budget() holds at all times.
+func (r *RSM) Table() *Table { return &r.tab }
 
 // Lock exposes the runtime reconfiguration lock for contention analysis.
 func (r *RSM) Lock() *cpufreq.Lock { return r.lock }
-
-// Reconfigs returns the number of acceleration and deceleration
-// operations issued.
-func (r *RSM) Reconfigs() (accels, decels int64) { return r.accels, r.decels }
-
-// Denied returns how many TaskStart operations ended without an
-// acceleration — the task ran non-accelerated because the budget was
-// exhausted and (for critical tasks) no non-critical victim existed.
-func (r *RSM) Denied() int64 { return r.denies }
-
-// AccelCoreTime returns the accelerated core-time accumulated so far:
-// the integral of the accelerated-core count over simulated time.
-// Dividing by budget × makespan yields the power-budget utilization.
-func (r *RSM) AccelCoreTime() sim.Time {
-	return r.accelCoreTime + sim.Time(r.nAccel)*(r.eng.Now()-r.accelMark)
-}
-
-// noteAccelChange folds the elapsed interval at the current
-// accelerated-core count into the integral before nAccel changes.
-func (r *RSM) noteAccelChange() {
-	now := r.eng.Now()
-	r.accelCoreTime += sim.Time(r.nAccel) * (now - r.accelMark)
-	r.accelMark = now
-}
 
 // OpLatency summarizes the latency of TaskStart/TaskEnd operations
 // (lock wait + bookkeeping + cpufreq writes) — the paper's
@@ -224,48 +155,42 @@ func (o *op) Fire(stage uint8) {
 	case opLocked:
 		r.mach.Core(core).Exec(r.BookkeepingCycles, 0, sim.Event{T: o, Op: o.decide})
 	case opStarted:
-		r.crit[core] = NonCritical
-		if o.critical {
-			r.crit[core] = Critical
-		}
+		t := &r.tab
+		t.SetCrit(core, CritOf(o.critical))
 		victim := -1
-		if r.nAccel >= r.budget && o.critical {
-			victim = r.findVictim()
+		if t.Free() == 0 && o.critical {
+			victim = t.Victim()
 		}
 		switch {
-		case r.nAccel < r.budget:
-			r.accelerate(core)
+		case t.Free() > 0:
+			t.Set(core, 1)
 			r.write(core, core, true, sim.Event{T: o, Op: opFinish})
 		case victim >= 0:
-			r.decelerate(victim)
+			t.Set(victim, 0)
 			r.write(core, victim, false, sim.Event{T: o, Op: opSwap})
 		default:
 			// No budget, and the task is non-critical or every
 			// accelerated core runs a critical task: run slow.
-			r.denies++
-			if r.rec != nil {
-				r.rec.AccelDeny(r.eng.Now(), core, o.critical, r.nAccel, r.budget)
-			}
+			t.Deny(core)
 			o.finish()
 		}
 	case opEnded:
-		r.crit[core] = NoTask
-		if !r.accel[core] {
+		r.tab.SetCrit(core, NoTask)
+		if !r.tab.Set(core, 0) {
 			o.finish()
 			return
 		}
-		r.decelerate(core)
 		r.write(core, core, false, sim.Event{T: o, Op: opHandoff})
 	case opSwap:
-		r.accelerate(core)
+		r.tab.Set(core, 1)
 		r.write(core, core, true, sim.Event{T: o, Op: opFinish})
 	case opHandoff:
-		next := r.findWaitingCritical()
+		next := r.tab.Starved()
 		if next < 0 {
 			o.finish()
 			return
 		}
-		r.accelerate(next)
+		r.tab.Set(next, 1)
 		r.write(core, next, true, sim.Event{T: o, Op: opFinish})
 	case opFinish:
 		o.finish()
@@ -283,54 +208,6 @@ func (o *op) finish() {
 	done := o.done
 	o.done = sim.Event{}
 	done.Fire()
-}
-
-// findVictim returns an accelerated core running a non-critical task, or
-// -1. Lowest index first: deterministic and matching a linear table scan.
-func (r *RSM) findVictim() int {
-	for i := range r.accel {
-		if r.accel[i] && r.crit[i] == NonCritical {
-			return i
-		}
-	}
-	return -1
-}
-
-// findWaitingCritical returns a non-accelerated core running a critical
-// task, or -1.
-func (r *RSM) findWaitingCritical() int {
-	for i := range r.accel {
-		if !r.accel[i] && r.crit[i] == Critical {
-			return i
-		}
-	}
-	return -1
-}
-
-func (r *RSM) accelerate(core int) {
-	if r.accel[core] {
-		panic(fmt.Sprintf("rsm: double accelerate of core %d", core))
-	}
-	r.noteAccelChange()
-	r.accel[core] = true
-	r.nAccel++
-	r.accels++
-	if r.nAccel > r.budget {
-		panic(fmt.Sprintf("rsm: budget exceeded: %d > %d", r.nAccel, r.budget))
-	}
-	if r.rec != nil {
-		r.rec.AccelGrant(r.eng.Now(), core, r.crit[core] == Critical, r.nAccel, r.budget)
-	}
-}
-
-func (r *RSM) decelerate(core int) {
-	if !r.accel[core] {
-		panic(fmt.Sprintf("rsm: decelerate of non-accelerated core %d", core))
-	}
-	r.noteAccelChange()
-	r.accel[core] = false
-	r.nAccel--
-	r.decels++
 }
 
 func (r *RSM) write(caller, target int, fast bool, done sim.Event) {

@@ -52,14 +52,14 @@ func TestAccelerateWithinBudget(t *testing.T) {
 		t.Fatal("TaskStart callback not invoked")
 	}
 	// Budget available: even a non-critical task is accelerated (§III-A).
-	if !r.Accelerated(0) || r.AcceleratedCount() != 1 {
+	if !r.Table().Accelerated(0) || r.Table().Used() != 1 {
 		t.Fatal("core 0 not accelerated despite budget")
 	}
 	if m.DVFS.Target(0) != energy.Fast {
 		t.Fatal("DVFS target not fast")
 	}
-	if r.Crit(0) != NonCritical {
-		t.Fatalf("crit = %v", r.Crit(0))
+	if r.Table().Crit(0) != NonCritical {
+		t.Fatalf("crit = %v", r.Table().Crit(0))
 	}
 }
 
@@ -69,21 +69,21 @@ func TestCriticalPreemptsNonCritical(t *testing.T) {
 		r.TaskStart(0, false, sim.Func(func() {})) // takes the only budget slot
 	})
 	eng.Run()
-	if !r.Accelerated(0) {
+	if !r.Table().Accelerated(0) {
 		t.Fatal("setup: core 0 should be accelerated")
 	}
 	busy(m, 1, func() {
 		r.TaskStart(1, true, sim.Func(func() {})) // critical: must steal the slot
 	})
 	eng.Run()
-	if r.Accelerated(0) {
+	if r.Table().Accelerated(0) {
 		t.Fatal("victim core 0 still accelerated")
 	}
-	if !r.Accelerated(1) {
+	if !r.Table().Accelerated(1) {
 		t.Fatal("critical core 1 not accelerated")
 	}
-	if r.AcceleratedCount() != 1 {
-		t.Fatalf("count = %d", r.AcceleratedCount())
+	if r.Table().Used() != 1 {
+		t.Fatalf("count = %d", r.Table().Used())
 	}
 	if m.DVFS.Target(0) != energy.Slow || m.DVFS.Target(1) != energy.Fast {
 		t.Fatal("DVFS targets wrong after preemption")
@@ -96,7 +96,7 @@ func TestNonCriticalDoesNotPreempt(t *testing.T) {
 	eng.Run()
 	busy(m, 1, func() { r.TaskStart(1, false, sim.Func(func() {})) })
 	eng.Run()
-	if !r.Accelerated(0) || r.Accelerated(1) {
+	if !r.Table().Accelerated(0) || r.Table().Accelerated(1) {
 		t.Fatal("non-critical task must not preempt")
 	}
 }
@@ -109,7 +109,7 @@ func TestAllCriticalNoPreemption(t *testing.T) {
 	eng.Run()
 	// All accelerated cores run critical tasks: the incoming critical task
 	// "cannot be accelerated, so it is tagged as non-accelerated".
-	if !r.Accelerated(0) || r.Accelerated(1) {
+	if !r.Table().Accelerated(0) || r.Table().Accelerated(1) {
 		t.Fatal("critical task preempted another critical task")
 	}
 }
@@ -120,19 +120,19 @@ func TestTaskEndHandsBudgetToWaitingCritical(t *testing.T) {
 	eng.Run()
 	busy(m, 1, func() { r.TaskStart(1, true, sim.Func(func() {})) })
 	eng.Run()
-	if r.Accelerated(1) {
+	if r.Table().Accelerated(1) {
 		t.Fatal("setup: core 1 should be waiting non-accelerated")
 	}
 	busy(m, 0, func() { r.TaskEnd(0, sim.Func(func() {})) })
 	eng.Run()
-	if r.Accelerated(0) {
+	if r.Table().Accelerated(0) {
 		t.Fatal("finished core still accelerated")
 	}
-	if !r.Accelerated(1) {
+	if !r.Table().Accelerated(1) {
 		t.Fatal("waiting critical core not accelerated after TaskEnd")
 	}
-	if r.Crit(0) != NoTask {
-		t.Fatalf("crit(0) = %v", r.Crit(0))
+	if r.Table().Crit(0) != NoTask {
+		t.Fatalf("crit(0) = %v", r.Table().Crit(0))
 	}
 }
 
@@ -140,7 +140,7 @@ func TestTaskEndNonAccelerated(t *testing.T) {
 	eng, m, r := newRig(t, 2, 0) // zero budget: nothing ever accelerates
 	busy(m, 0, func() { r.TaskStart(0, true, sim.Func(func() {})) })
 	eng.Run()
-	if r.Accelerated(0) {
+	if r.Table().Accelerated(0) {
 		t.Fatal("accelerated with zero budget")
 	}
 	var ended bool
@@ -149,7 +149,7 @@ func TestTaskEndNonAccelerated(t *testing.T) {
 	if !ended {
 		t.Fatal("TaskEnd callback not invoked")
 	}
-	accels, decels := r.Reconfigs()
+	accels, decels := r.Table().Reconfigs()
 	if accels != 0 || decels != 0 {
 		t.Fatalf("reconfigs = %d/%d, want 0/0", accels, decels)
 	}
@@ -214,7 +214,7 @@ func TestBudgetNeverExceededProperty(t *testing.T) {
 				return
 			}
 			check := func() {
-				if r.AcceleratedCount() > budget {
+				if r.Table().Used() > budget {
 					ok = false
 				}
 				if m.DVFS.CommittedFast() > budget {
@@ -242,7 +242,7 @@ func TestBudgetNeverExceededProperty(t *testing.T) {
 			busy(m, c, func() { drive(c, 6, false) })
 		}
 		eng.Run()
-		return ok && r.AcceleratedCount() <= budget
+		return ok && r.Table().Used() <= budget
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -341,8 +341,8 @@ func TestOperationsZeroAllocs(t *testing.T) {
 			}
 			cycle := tc.cycle(r)
 			counts := func() deltas {
-				a, d := r.Reconfigs()
-				return deltas{a, d, r.Denied()}
+				a, d := r.Table().Reconfigs()
+				return deltas{a, d, r.Table().Denied()}
 			}
 			before := counts()
 			run(cycle)

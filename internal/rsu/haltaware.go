@@ -49,7 +49,7 @@ func (h *HaltAware) onHalt(core int) {
 	if !h.rsu.Enabled() || h.rsu.ReadCritic(core) == rsm.NoTask {
 		return // idle-loop halt: no task state to park
 	}
-	if h.rsu.Accelerated(core) {
+	if h.rsu.Table().Accelerated(core) {
 		h.reclaims++
 	}
 	h.saved[core] = h.rsu.SaveContext(core)

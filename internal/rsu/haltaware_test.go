@@ -17,7 +17,7 @@ func haRig(t *testing.T, cores, budget int) (*sim.Engine, *machine.Machine, *RSU
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(eng, m)
+	r := New(eng, m, []int{0, 1})
 	r.Init(budget)
 	return eng, m, r, NewHaltAware(r, m)
 }
@@ -26,7 +26,7 @@ func TestHaltAwareReleasesBudgetDuringIO(t *testing.T) {
 	eng, m, r, ha := haRig(t, 4, 1)
 	// Task on core 0 takes the only budget slot, then blocks on IO.
 	r.StartTask(0, true)
-	if !r.Accelerated(0) {
+	if !r.Table().Accelerated(0) {
 		t.Fatal("setup: core 0 should hold the budget")
 	}
 	var critAtWake rsm.CritState = -1
@@ -47,10 +47,10 @@ func TestHaltAwareReleasesBudgetDuringIO(t *testing.T) {
 	}))
 
 	eng.RunUntil(100 * sim.Microsecond) // inside the IO halt
-	if r.Accelerated(0) {
+	if r.Table().Accelerated(0) {
 		t.Fatal("halted core kept its budget")
 	}
-	if !r.Accelerated(1) {
+	if !r.Table().Accelerated(1) {
 		t.Fatal("budget not handed to the running critical task")
 	}
 	if ha.Reclaims() != 1 {
@@ -63,7 +63,7 @@ func TestHaltAwareReleasesBudgetDuringIO(t *testing.T) {
 	if critAtWake != rsm.Critical {
 		t.Fatalf("criticality not restored at wake: %v", critAtWake)
 	}
-	if r.AcceleratedCount() > r.Budget() {
+	if r.Table().Used() > r.Table().Budget() {
 		t.Fatal("budget exceeded")
 	}
 }
@@ -74,7 +74,7 @@ func TestHaltAwareRestoresAccelerationOnWake(t *testing.T) {
 	var wokeAccelerated bool
 	m.Core(0).Exec(1000, 0, sim.Func(func() {
 		m.Core(0).HaltFor(100*sim.Microsecond, sim.Func(func() {
-			wokeAccelerated = r.Accelerated(0)
+			wokeAccelerated = r.Table().Accelerated(0)
 			r.EndTask(0)
 			m.Core(0).Idle()
 		}))
@@ -93,7 +93,7 @@ func TestHaltAwareIgnoresIdleHalts(t *testing.T) {
 	if ha.Reclaims() != 0 {
 		t.Fatalf("idle halts counted as reclaims: %d", ha.Reclaims())
 	}
-	if r.AcceleratedCount() != 0 {
+	if r.Table().Used() != 0 {
 		t.Fatal("phantom acceleration")
 	}
 }
@@ -123,7 +123,7 @@ func TestHaltAwareNonAcceleratedTaskParksQuietly(t *testing.T) {
 	if sawCrit != rsm.Critical {
 		t.Fatalf("criticality not restored on wake: %v", sawCrit)
 	}
-	if !r.Accelerated(0) {
+	if !r.Table().Accelerated(0) {
 		t.Fatal("unrelated core lost its budget")
 	}
 	eng.Run()

@@ -1,13 +1,20 @@
 // Package rsu implements the Runtime Support Unit (§III-B): a small
 // hardware unit that executes the CATA reconfiguration algorithm, relieving
 // the runtime of the software cpufreq path and its lock serialization. It
-// stores, per core, the running task's criticality (Critical /
-// Non-Critical / No Task) and acceleration status, plus the two power-level
-// registers and the power budget, and drives the DVFS controller directly.
+// keeps the same Figure 2/3 table as CATA's software RSM (rsm.Table): per
+// core the running task's criticality (Critical / Non-Critical / No Task)
+// and acceleration level, plus the power budget, and it drives the DVFS
+// controller directly.
 //
 // The unit is managed through ISA-like operations (rsu_init, rsu_reset,
 // rsu_disable, rsu_start_task, rsu_end_task, rsu_read_critic) and supports
 // OS virtualization across context switches (§III-B.3).
+//
+// The paper's unit has two levels: unit costs {0, 1}, where the budget
+// counts accelerated cores. The same algorithm runs any number of
+// operating levels under a pool of power units — the extension §III leaves
+// as future work ("Extending the proposed ideas to more levels of
+// acceleration is left as future work").
 package rsu
 
 import (
@@ -25,62 +32,54 @@ import (
 // invoking instruction (the physical V/f transition still takes the
 // configured 25 µs). The invoking core's 2-cycle instruction cost is
 // charged by the runtime, not here.
+//
+// Each operating level of the machine has a unit cost approximating its
+// dynamic-power increment over the slow level, and the budget is a pool
+// of units. The allocation algorithm keeps the paper's structure:
+//
+//   - task start: grant the highest affordable level (even to non-critical
+//     tasks, as in §III-A); a critical task may lower non-critical cores
+//     one level at a time until its grant fits;
+//   - task end: release the core's units and spend freed units raising
+//     the most-starved critical cores.
+//
+// At costs {0, 1} this is exactly the two-level §III-A rule.
 type RSU struct {
-	eng  *sim.Engine
-	mach *machine.Machine
-
+	mach    *machine.Machine
+	tab     rsm.Table
 	enabled bool
-	budget  int
-	crit    []rsm.CritState
-	accel   []bool
-	nAccel  int
-
-	// The two power-state registers of §III-B.1, set at OS boot.
-	accelLevel    energy.Level
-	nonAccelLevel energy.Level
-
-	accels, decels int64
-	ops            int64
-
-	// rec, when non-nil, receives grant/deny events with budget state.
-	rec probe.Recorder
+	ops     int64
 }
 
-// New returns a disabled RSU attached to the machine. Call Init before use
+// New returns a disabled RSU attached to the machine. unitCost[l] is the
+// budget cost of running a core at machine level l: one cost per level,
+// the baseline costing 0, non-decreasing. Call Init before use
 // (mirroring rsu_init executed by the runtime at startup).
-func New(eng *sim.Engine, mach *machine.Machine) *RSU {
-	r := &RSU{
-		eng:           eng,
-		mach:          mach,
-		crit:          make([]rsm.CritState, mach.Cores()),
-		accel:         make([]bool, mach.Cores()),
-		accelLevel:    mach.Cfg.FastLevel,
-		nonAccelLevel: mach.Cfg.SlowLevel,
+func New(eng *sim.Engine, mach *machine.Machine, unitCost []int) *RSU {
+	if len(unitCost) != mach.Cfg.Power.Levels() {
+		panic(fmt.Sprintf("rsu: unit costs for %d levels, machine has %d",
+			len(unitCost), mach.Cfg.Power.Levels()))
 	}
-	return r
+	return &RSU{mach: mach, tab: rsm.NewTable(eng, mach.Cores(), unitCost)}
 }
 
 // SetRecorder attaches a flight recorder reporting acceleration grants
-// and denials together with the budget state at decision time.
-func (r *RSU) SetRecorder(rec probe.Recorder) { r.rec = rec }
+// and denials together with the budget state (in units) at decision time.
+func (r *RSU) SetRecorder(rec probe.Recorder) { r.tab.SetRecorder(rec) }
 
-// Init implements rsu_init: enable the unit with the given power budget.
+// Init implements rsu_init: enable the unit with the given power budget
+// in units.
 func (r *RSU) Init(budget int) {
-	if budget < 0 || budget > r.mach.Cores() {
-		panic(fmt.Sprintf("rsu: budget %d out of range [0,%d]", budget, r.mach.Cores()))
-	}
-	r.budget = budget
+	r.tab.SetBudget(budget)
 	r.enabled = true
 }
 
 // Reset implements rsu_reset: clear all per-core state, decelerating every
 // accelerated core.
 func (r *RSU) Reset() {
-	for i := range r.crit {
-		r.crit[i] = rsm.NoTask
-		if r.accel[i] {
-			r.decelerate(i)
-		}
+	for i := 0; i < r.mach.Cores(); i++ {
+		r.tab.SetCrit(i, rsm.NoTask)
+		r.set(i, 0)
 	}
 }
 
@@ -93,65 +92,64 @@ func (r *RSU) Disable() {
 // Enabled reports whether the unit accepts operations.
 func (r *RSU) Enabled() bool { return r.enabled }
 
-// Budget returns the configured power budget.
-func (r *RSU) Budget() int { return r.budget }
-
-// Accelerated reports the acceleration status bit for a core.
-func (r *RSU) Accelerated(core int) bool { return r.accel[core] }
-
-// AcceleratedCount returns the number of accelerated cores; it never
-// exceeds Budget.
-func (r *RSU) AcceleratedCount() int { return r.nAccel }
+// Table returns the unit's table: per-core levels, the budget and units
+// in use, and the reconfiguration counters.
+func (r *RSU) Table() *rsm.Table { return &r.tab }
 
 // ReadCritic implements rsu_read_critic: the criticality field for a core.
-func (r *RSU) ReadCritic(core int) rsm.CritState { return r.crit[core] }
-
-// Reconfigs returns the acceleration/deceleration operation counts.
-func (r *RSU) Reconfigs() (accels, decels int64) { return r.accels, r.decels }
+func (r *RSU) ReadCritic(core int) rsm.CritState { return r.tab.Crit(core) }
 
 // Ops returns the number of start/end notifications processed.
 func (r *RSU) Ops() int64 { return r.ops }
 
-// StartTask implements rsu_start_task(cpu, critic): the same algorithm as
-// rsm.RSM.TaskStart, executed instantly in hardware (§III-B.2).
+// StartTask implements rsu_start_task(cpu, critic), executed instantly in
+// hardware (§III-B.2).
 func (r *RSU) StartTask(core int, critical bool) {
 	r.mustBeEnabled()
 	r.ops++
-	cs := rsm.NonCritical
+	t := &r.tab
+	t.SetCrit(core, rsm.CritOf(critical))
+
+	// Highest affordable level from the free pool.
+	for lvl := t.Top(); lvl > 0; lvl-- {
+		if t.Free() >= t.Cost(lvl) {
+			r.set(core, lvl)
+			return
+		}
+	}
 	if critical {
-		cs = rsm.Critical
-	}
-	r.crit[core] = cs
-	switch {
-	case r.nAccel < r.budget:
-		r.accelerate(core)
-	case critical:
-		if victim := r.findVictim(); victim >= 0 {
-			r.decelerate(victim)
-			r.accelerate(core)
-		} else if r.rec != nil {
-			// All accelerated cores run critical tasks: run slow.
-			r.rec.AccelDeny(r.eng.Now(), core, true, r.nAccel, r.budget)
-		}
-	default:
-		if r.rec != nil {
-			r.rec.AccelDeny(r.eng.Now(), core, false, r.nAccel, r.budget)
+		// No free units: lower non-critical cores one level at a time,
+		// highest level first, until a grant fits (§III-A preemption
+		// generalized).
+		for lvl := t.Top(); lvl > 0; lvl-- {
+			for t.Free() < t.Cost(lvl) {
+				victim := t.Victim()
+				if victim < 0 {
+					break
+				}
+				r.set(victim, t.Level(victim)-1)
+			}
+			if t.Free() >= t.Cost(lvl) {
+				r.set(core, lvl)
+				return
+			}
 		}
 	}
+	// Non-critical, or every accelerated core runs a critical task: run
+	// slow.
+	t.Deny(core)
 }
 
-// EndTask implements rsu_end_task(cpu): decelerate the finishing core and
-// hand the freed budget to a non-accelerated critical task, if any.
+// EndTask implements rsu_end_task(cpu): release the finishing core's
+// units and raise starved critical cores, one level per round, while
+// the freed units last.
 func (r *RSU) EndTask(core int) {
 	r.mustBeEnabled()
 	r.ops++
-	r.crit[core] = rsm.NoTask
-	if !r.accel[core] {
-		return
-	}
-	r.decelerate(core)
-	if next := r.findWaitingCritical(); next >= 0 {
-		r.accelerate(next)
+	r.tab.SetCrit(core, rsm.NoTask)
+	r.set(core, 0)
+	for next := r.tab.Starved(); next >= 0; next = r.tab.Starved() {
+		r.set(next, r.tab.Level(next)+1)
 	}
 }
 
@@ -160,7 +158,7 @@ func (r *RSU) EndTask(core int) {
 // thread_struct) and sets No Task, re-scheduling the remaining tasks
 // exactly as a task end does.
 func (r *RSU) SaveContext(core int) rsm.CritState {
-	saved := r.crit[core]
+	saved := r.tab.Crit(core)
 	r.EndTask(core)
 	return saved
 }
@@ -175,52 +173,34 @@ func (r *RSU) RestoreContext(core int, saved rsm.CritState) {
 	r.StartTask(core, saved == rsm.Critical)
 }
 
+// set moves a core to a level in the table and, if it changed, programs
+// the DVFS controller.
+func (r *RSU) set(core, lvl int) {
+	if r.tab.Set(core, lvl) {
+		r.mach.DVFS.Request(core, energy.Level(lvl))
+	}
+}
+
 func (r *RSU) mustBeEnabled() {
 	if !r.enabled {
 		panic("rsu: operation on disabled unit")
 	}
 }
 
-func (r *RSU) findVictim() int {
-	for i := range r.accel {
-		if r.accel[i] && r.crit[i] == rsm.NonCritical {
-			return i
-		}
+// ThreeLevelModel returns a power model with the dual-rail points of
+// Table I plus an intermediate 1.5 GHz / 0.9 V level, for the multi-level
+// extension experiments.
+func ThreeLevelModel() *energy.Model {
+	m := energy.Default()
+	m.Points = []energy.OperatingPoint{
+		{Freq: 1 * sim.Gigahertz, Voltage: 0.8},
+		{Freq: 1500 * sim.Megahertz, Voltage: 0.9},
+		{Freq: 2 * sim.Gigahertz, Voltage: 1.0},
 	}
-	return -1
+	return m
 }
 
-func (r *RSU) findWaitingCritical() int {
-	for i := range r.accel {
-		if !r.accel[i] && r.crit[i] == rsm.Critical {
-			return i
-		}
-	}
-	return -1
-}
-
-func (r *RSU) accelerate(core int) {
-	if r.accel[core] {
-		panic(fmt.Sprintf("rsu: double accelerate of core %d", core))
-	}
-	r.accel[core] = true
-	r.nAccel++
-	r.accels++
-	if r.nAccel > r.budget {
-		panic(fmt.Sprintf("rsu: budget exceeded: %d > %d", r.nAccel, r.budget))
-	}
-	if r.rec != nil {
-		r.rec.AccelGrant(r.eng.Now(), core, r.crit[core] == rsm.Critical, r.nAccel, r.budget)
-	}
-	r.mach.DVFS.Request(core, r.accelLevel)
-}
-
-func (r *RSU) decelerate(core int) {
-	if !r.accel[core] {
-		panic(fmt.Sprintf("rsu: decelerate of non-accelerated core %d", core))
-	}
-	r.accel[core] = false
-	r.nAccel--
-	r.decels++
-	r.mach.DVFS.Request(core, r.nonAccelLevel)
-}
+// ThreeLevelUnitCosts returns the unit costs {0, 1, 2} for the three-level
+// model: the mid level's dynamic-power increment over slow (~0.72 W) is
+// roughly half the fast level's (~1.7 W), so fast = 2 units, mid = 1.
+func ThreeLevelUnitCosts() []int { return []int{0, 1, 2} }

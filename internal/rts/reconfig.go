@@ -5,6 +5,7 @@ import (
 
 	"cata/internal/machine"
 	"cata/internal/rsm"
+	"cata/internal/rsu"
 	"cata/internal/sim"
 	"cata/internal/tdg"
 )
@@ -51,21 +52,13 @@ func (r RSMReconfig) TaskEnd(core int, _ *tdg.Task, done sim.Event) {
 	r.RSM.TaskEnd(core, done)
 }
 
-// TaskUnit is the hardware-side contract of an RSU-like unit: task
-// start/end notifications that reconfigure DVFS in hardware. Both the
-// paper's two-level RSU and the multi-level extension satisfy it.
-type TaskUnit interface {
-	StartTask(core int, critical bool)
-	EndTask(core int)
-}
-
-// RSUReconfig drives a hardware task unit: the runtime executes one
-// rsu_start_task/rsu_end_task instruction (a few cycles on the calling
-// core); decision and DVFS programming happen in hardware. Build it with
-// NewRSUReconfig: each core's instruction in flight is the target of its
-// own retire event, and a core issues one at a time.
+// RSUReconfig drives the hardware Runtime Support Unit: the runtime
+// executes one rsu_start_task/rsu_end_task instruction (a few cycles on
+// the calling core); decision and DVFS programming happen in hardware.
+// Build it with NewRSUReconfig: each core's instruction in flight is the
+// target of its own retire event, and a core issues one at a time.
 type RSUReconfig struct {
-	unit     TaskUnit
+	unit     *rsu.RSU
 	mach     *machine.Machine
 	opCycles int64
 	ops      []rsuOp
@@ -88,7 +81,7 @@ const (
 
 // NewRSUReconfig returns the runtime's driver for unit on mach, charging
 // opCycles per instruction.
-func NewRSUReconfig(unit TaskUnit, mach *machine.Machine, opCycles int64) *RSUReconfig {
+func NewRSUReconfig(unit *rsu.RSU, mach *machine.Machine, opCycles int64) *RSUReconfig {
 	r := &RSUReconfig{unit: unit, mach: mach, opCycles: opCycles, ops: make([]rsuOp, mach.Cores())}
 	for i := range r.ops {
 		r.ops[i] = rsuOp{r: r, core: i}

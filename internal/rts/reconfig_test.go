@@ -12,7 +12,7 @@ import (
 // hardware's DVFS transitions, allocates nothing in steady state.
 func TestRSUReconfigZeroAllocs(t *testing.T) {
 	eng, m := newMachine(t, 4)
-	unit := rsu.New(eng, m)
+	unit := rsu.New(eng, m, []int{0, 1})
 	unit.Init(1)
 	rc := NewRSUReconfig(unit, m, 4)
 	nop := sim.Func(func() {})
@@ -26,7 +26,7 @@ func TestRSUReconfigZeroAllocs(t *testing.T) {
 		eng.Run()
 	}
 	cycle()
-	accels, _ := unit.Reconfigs()
+	accels, _ := unit.Table().Reconfigs()
 	if accels == 0 {
 		t.Fatal("rsu_start_task of a critical task with free budget accelerated nothing")
 	}
@@ -39,7 +39,7 @@ func TestRSUReconfigZeroAllocs(t *testing.T) {
 // time.
 func TestRSUReconfigOverlapPanics(t *testing.T) {
 	eng, m := newMachine(t, 2)
-	unit := rsu.New(eng, m)
+	unit := rsu.New(eng, m, []int{0, 1})
 	unit.Init(1)
 	rc := NewRSUReconfig(unit, m, 4)
 	task := &tdg.Task{}

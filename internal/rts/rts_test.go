@@ -239,11 +239,11 @@ func TestCATARSMAcceleratesAndRespectsBudget(t *testing.T) {
 	if res.TasksRun != 24 {
 		t.Fatalf("TasksRun = %d", res.TasksRun)
 	}
-	accels, decels := module.Reconfigs()
+	accels, decels := module.Table().Reconfigs()
 	if accels == 0 || decels == 0 {
 		t.Fatalf("no reconfigurations happened: %d/%d", accels, decels)
 	}
-	if module.AcceleratedCount() > module.Budget() {
+	if module.Table().Used() > module.Table().Budget() {
 		t.Fatal("budget violated at end")
 	}
 	if module.OpLatency().Count() != 2*24 {
@@ -303,7 +303,7 @@ func TestCATAFasterThanFIFOOnImbalance(t *testing.T) {
 
 func TestRSUReconfigWorks(t *testing.T) {
 	eng, m := newMachine(t, 4)
-	unit := rsu.New(eng, m)
+	unit := rsu.New(eng, m, []int{0, 1})
 	unit.Init(2)
 	cfg := Config{
 		Machine: m,
@@ -329,7 +329,7 @@ func TestRSUReconfigWorks(t *testing.T) {
 	if unit.Ops() != 2*24 {
 		t.Fatalf("RSU ops = %d, want 48", unit.Ops())
 	}
-	accels, _ := unit.Reconfigs()
+	accels, _ := unit.Table().Reconfigs()
 	if accels == 0 {
 		t.Fatal("RSU never accelerated")
 	}
@@ -361,7 +361,7 @@ func TestRSUCheaperThanRSM(t *testing.T) {
 	}
 
 	engH, mH := newMachine(t, 4)
-	unit := rsu.New(engH, mH)
+	unit := rsu.New(engH, mH, []int{0, 1})
 	unit.Init(2)
 	cfgH := Config{
 		Machine:      mH,

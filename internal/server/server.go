@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 
 	"cata"
+	"cata/internal/exp"
 	"cata/internal/jobs"
 	"cata/internal/metrics"
 	"cata/internal/spec"
@@ -179,7 +180,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // writeSpecError writes a 400 for a config rejected at admission. When
 // the cause is a bad spec, the body names the offending component —
 // {"error": ..., <kind>: name, "param": key}, where kind is "workload",
-// "policy" or "arrivals" — so clients can point at the exact field;
+// "policy" or "arrivals" — so clients can point at the exact field. A
+// config field out of range is named as {"error": ..., "field": name};
 // other errors keep the plain {"error": ...} shape.
 func writeSpecError(w http.ResponseWriter, context string, err error) {
 	body := map[string]string{"error": fmt.Sprintf("%s: %v", context, err)}
@@ -191,6 +193,10 @@ func writeSpecError(w http.ResponseWriter, context string, err error) {
 		if se.Key != "" {
 			body["param"] = se.Key
 		}
+	}
+	var fe *exp.FieldError
+	if errors.As(err, &fe) {
+		body["field"] = fe.Field
 	}
 	writeJSON(w, http.StatusBadRequest, body)
 }
@@ -231,8 +237,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 
 // checkConfig resolves a config's three specs — workload, policy and
 // arrivals — against their registries, checking names, parameter keys,
-// kinds and bounds without building anything or reading files. The
-// empty policy is the FIFO default; empty arrivals mean a closed run.
+// kinds and bounds without building anything or reading files, and
+// checks the machine size and the fast-core budget against it. The empty policy
+// is the FIFO default; empty arrivals mean a closed run.
 func checkConfig(c cata.RunConfig) error {
 	if c.Workload == "" {
 		return errors.New("workload required")
@@ -244,6 +251,9 @@ func checkConfig(c cata.RunConfig) error {
 		if err := cata.ValidatePolicy(string(c.Policy)); err != nil {
 			return err
 		}
+	}
+	if err := exp.CheckCores(c.Cores, c.FastCores); err != nil {
+		return err
 	}
 	if c.Arrivals != "" {
 		return cata.ValidateArrivals(c.Arrivals)

@@ -543,3 +543,48 @@ func TestPolicySpecValidation(t *testing.T) {
 		t.Fatalf("AMTHA job = %+v", st)
 	}
 }
+
+// TestFastCoresOutOfRangeRejected: a fast-core budget outside
+// [0, cores], or a negative core count, is a 400 naming the field at
+// admission — for a single run and for one expanded config of a sweep —
+// never a queued job whose worker panics and takes the daemon down.
+func TestFastCoresOutOfRangeRejected(t *testing.T) {
+	srv, err := server.New(server.Config{Workers: 1, QueueDepth: 4,
+		CachePath: filepath.Join(t.TempDir(), "cache.jsonl")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		_ = srv.Drain(ctx)
+		_ = srv.Close()
+	})
+	for _, tc := range []struct{ path, body, field string }{
+		{"/v1/runs", `{"workload":"dedup","policy":"FIFO","fast_cores":40}`, "fast_cores"},
+		{"/v1/runs", `{"workload":"dedup","policy":"CATA","fast_cores":-1}`, "fast_cores"},
+		{"/v1/runs", `{"workload":"dedup","policy":"CATA+RSU-3L","fast_cores":9,"cores":8}`, "fast_cores"},
+		{"/v1/sweeps", `{"workloads":["dedup"],"policies":["TurboMode"],"fast_cores":[8,40]}`, "fast_cores"},
+		{"/v1/runs", `{"workload":"dedup","cores":-4}`, "cores"},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 400 || got["field"] != tc.field || !strings.Contains(got["error"], tc.field) {
+			t.Errorf("POST %s %s: status %d, body %v; want 400 naming %s", tc.path, tc.body, resp.StatusCode, got, tc.field)
+		}
+	}
+	h, err := cata.NewServiceClient(ts.URL, nil).Health(context.Background())
+	if err != nil || h.Status != "ok" {
+		t.Fatalf("health after rejected budgets = %+v, %v", h, err)
+	}
+}
